@@ -228,8 +228,9 @@ def cf_factorization_gap(
     """Sample (X_1, ..., X_k) at the given spacings and measure the cf gap.
 
     Variables are the observations of one stationary path at time points
-    separated by the lags; replicates are independent paths with
-    per-replicate streams.
+    separated by the lags; replicates are independent paths drawn from the
+    block streams of iter_path_chunks, so replicate r is the same path for
+    every replicates > r.
     """
     if seed is None:
         raise ValueError("a seed is required")

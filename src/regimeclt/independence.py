@@ -29,11 +29,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .chain import MixingProfile, mixing_rate
-from .errors import EmptyConditioningEvent, TooManyEventsForExact
+from .errors import ConfigInvalid, EmptyConditioningEvent, TooManyEventsForExact
 from .process import ModelSpec, iter_path_chunks, mixture_quantile
 from .seeds import SeedSpec
 
 MAX_EXACT_EVENTS = 6
+# Largest prefix array, B^(k-1) N float64 values, that the exact product
+# family certificate may build; larger requests raise ConfigInvalid up front.
+MAX_EXACT_CERTIFICATE_BYTES = 2**30
 # Absolute slack for exact-arithmetic bound comparisons; covers accumulated
 # round-off in matrix powers.
 BOUND_SLACK = 1e-12
@@ -383,13 +386,26 @@ def _epsilon_exact_product_family(
     Tuples sharing a prefix share the propagated state vector, so the whole
     family costs O(B^(k-1)) vectorised steps per leading event instead of
     B^k independent evaluations. Memory grows with B^(k-1).
+
+    Raises
+    ------
+    ConfigInvalid
+        If the B^(k-1) N float64 prefix array would exceed
+        MAX_EXACT_CERTIFICATE_BYTES; nothing is allocated in that case.
     """
     if len(lags) + 1 > MAX_EXACT_EVENTS:
         raise TooManyEventsForExact(
             f"exact evaluation supports at most {MAX_EXACT_EVENTS} events"
         )
-    pi = model.stationary()
     n_states = model.n_states
+    needed = len(base) ** len(lags) * n_states * 8
+    if needed > MAX_EXACT_CERTIFICATE_BYTES:
+        raise ConfigInvalid(
+            f"exact certificate over {len(base)} events and {len(lags)} lags needs "
+            f"{needed} bytes, above the {MAX_EXACT_CERTIFICATE_BYTES}-byte cap; "
+            "use fewer quantile levels or fewer lags"
+        )
+    pi = model.stationary()
     powers = [np.linalg.matrix_power(model.chain.p, t) for t in lags]
     w = np.stack([ev.weights(model) for ev in base])  # (B, N)
     marg = w @ pi  # (B,)

@@ -31,7 +31,7 @@ from scipy import integrate, optimize, special
 
 from .chain import ROW_SUM_TOL, TransitionMatrix, is_ergodic, stationary_distribution
 from .errors import InvalidModel, ZeroLikelihood
-from .seeds import SeedSpec
+from .seeds import REPLICATE_BLOCK, SeedSpec
 
 DENSITY_INTEGRAL_TOL = 1e-6
 _DENSITY_GRID_POINTS = 40_001
@@ -328,7 +328,16 @@ class ModelSpec:
         return self.chain.n_states
 
     def stationary(self) -> NDArray[np.float64]:
-        return stationary_distribution(self.chain).pi
+        """Read-only stationary law of the chain, solved once per model.
+
+        The cache is an instance attribute, not a field, so equality,
+        hashing and the JSON form do not see it.
+        """
+        pi = self.__dict__.get("_stationary")
+        if pi is None:
+            pi = stationary_distribution(self.chain).pi
+            object.__setattr__(self, "_stationary", pi)
+        return pi
 
     def initial_distribution(self) -> NDArray[np.float64]:
         if self.initial == "stationary":
@@ -466,10 +475,12 @@ def iter_path_chunks(
 ) -> Iterator[tuple[int, NDArray[np.int16], NDArray[np.float64]]]:
     """Simulate many replicate paths, yielding (start_index, states, obs) chunks.
 
-    Each replicate r draws from its own stream derived from (seed.base,
-    seed.stream, r), so the output is independent of chunking and of any
-    scheduling order. states chunks are (chunk, n) 1-based int16, obs chunks
-    (chunk, n) float64.
+    Replicate r takes 2n + 1 uniforms (initial regime, n transitions, n
+    observations) from the stream of its block, seed.block_rng(r //
+    REPLICATE_BLOCK), after the r % REPLICATE_BLOCK replicates before it in
+    that block. The output is therefore independent of chunking, and the
+    first m replicates are the same for every n_paths >= m. states chunks are
+    (chunk, n) 1-based int16, obs chunks (chunk, n) float64.
     """
     if n < 1 or n_paths < 1:
         raise InvalidModel("n and n_paths must be >= 1")
@@ -488,8 +499,16 @@ def iter_path_chunks(
     while start < n_paths:
         size = min(chunk_size, n_paths - start)
         u = np.empty((size, draws_per_rep))
-        for i in range(size):
-            u[i] = seed.replicate_rng(start + i).random(draws_per_rep)
+        row = 0
+        while row < size:
+            # Replicates come in index order from 0, so a block's generator
+            # is made at its first replicate and carried across chunk ends.
+            block, offset = divmod(start + row, REPLICATE_BLOCK)
+            if offset == 0:
+                rng = seed.block_rng(block)
+            take = min(size - row, REPLICATE_BLOCK - offset)
+            rng.random(out=u[row : row + take])
+            row += take
         if fixed_initial:
             s = np.full(size, state0, dtype=np.int64)
         else:

@@ -35,7 +35,7 @@ from . import __version__
 from .chain import is_ergodic, mixing_rate, stationary_distribution
 from .charfn import build_step_approximation, cf_factorization_gap, truncation_radius
 from .clt import clt_convergence, decompose, remainder_diagnostic
-from .errors import BoundViolated, ConfigInvalid, RegimecltError
+from .errors import BoundViolated, ConfigInvalid, GapExceedsBlock, RegimecltError
 from .independence import (
     BOUND_SLACK,
     chained_gap_bound,
@@ -366,11 +366,27 @@ def _experiment_cf_gap(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
     return results, rows, violations
 
 
+# clt_convergence gives n_grid[i] the stream offset 2 + i; the remainder
+# diagnostic's offset must stay above all of them.
+_REMAINDER_STREAM = 32
+MAX_CLT_N_GRID = _REMAINDER_STREAM - 2
+
+
 def _experiment_clt(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
     _require_ergodic(scenario.model)
     model = scenario.model
     params = scenario.params
     scale = scenario.bound_scale
+    if len(params["n_grid"]) > MAX_CLT_N_GRID:
+        raise ConfigInvalid(
+            f"n_grid has {len(params['n_grid'])} entries; at most {MAX_CLT_N_GRID} "
+            "are allowed so that no two runs share a replicate stream"
+        )
+    n_max = max(params["n_grid"])
+    try:
+        d = decompose(n_max, params["alpha_exp"], params["m"])
+    except (GapExceedsBlock, ValueError) as exc:
+        raise ConfigInvalid(f"block decomposition of n={n_max}: {exc}") from exc
     report = clt_convergence(
         model,
         params["n_grid"],
@@ -391,10 +407,9 @@ def _experiment_clt(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
             _check(rows, violations, "lindeberg", f"n={n} eta={eta!r}",
                    float(report.lindeberg_values[i, j]), None, None)
 
-    n_max = max(report.n_grid)
-    d = decompose(n_max, params["alpha_exp"], params["m"])
     rem = remainder_diagnostic(
-        model, d, replicates=params["remainder_replicates"], seed=scenario.seed.child(32)
+        model, d, replicates=params["remainder_replicates"],
+        seed=scenario.seed.child(_REMAINDER_STREAM),
     )
     r_moment = mixture_abs_third_moment(model)
     # p^2 R^2 / n dominates the remainder second moment only when R >= 1.

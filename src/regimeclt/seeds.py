@@ -1,9 +1,12 @@
 """Deterministic RNG stream derivation.
 
 Every stochastic routine in the package draws from a generator derived from a
-(base seed, stream id) pair. Replicated experiments derive one independent
-child stream per replicate index, so results are reproducible bit for bit and
-do not depend on scheduling or batching order.
+(base seed, stream id) pair. Replicated experiments split the replicate
+indices into fixed blocks of REPLICATE_BLOCK and derive one child stream per
+block from (base, stream, block index). A block's generator fills its
+replicates' uniforms one replicate after another, so replicate r's draws
+depend only on (base, stream, r): results are reproducible bit for bit and do
+not depend on scheduling, chunking, or how many replicates were requested.
 """
 
 from __future__ import annotations
@@ -11,6 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Replicates per derived stream. Part of the stream layout: changing it
+# changes every seeded Monte Carlo result.
+REPLICATE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -32,10 +39,11 @@ class SeedSpec:
             np.random.SeedSequence(entropy=self.base, spawn_key=(self.stream,))
         )
 
-    def replicate_rng(self, index: int) -> np.random.Generator:
-        """Independent generator for one replicate of this stream."""
+    def block_rng(self, block: int) -> np.random.Generator:
+        """Generator shared, in index order, by the REPLICATE_BLOCK replicates
+        of block `block` (indices block*REPLICATE_BLOCK onwards)."""
         return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.base, spawn_key=(self.stream, index))
+            np.random.SeedSequence(entropy=self.base, spawn_key=(self.stream, block))
         )
 
     def child(self, offset: int) -> "SeedSpec":

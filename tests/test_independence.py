@@ -1,14 +1,16 @@
 """Tests for dependence gaps, mixing envelopes, and the epsilon certificate."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from regimeclt.chain import TransitionMatrix, mixing_rate
-from regimeclt.errors import EmptyConditioningEvent, TooManyEventsForExact
+from regimeclt.errors import ConfigInvalid, EmptyConditioningEvent, TooManyEventsForExact
 from regimeclt.independence import (
+    MAX_EXACT_CERTIFICATE_BYTES,
     RectEvent,
     chained_gap_bound,
     conditional_gap_exact,
@@ -291,6 +293,26 @@ class TestEpsilonCertificate:
             epsilon_certificate(bench_model, (1,), method="mc")
         with pytest.raises(TooManyEventsForExact):
             epsilon_certificate(bench_model, (1,) * 6, base_events=[FULL, STATE1])
+
+    def test_exact_family_memory_preflight(self):
+        # 3 states and 19 quantile levels give B = 3 * 20 + 1 = 61 events; five
+        # lags make the prefix array 61^5 * 3 float64 values, about 20 GB.
+        model = _gaussian_model(np.array(
+            [[0.93, 0.05, 0.02], [0.04, 0.93, 0.03], [0.03, 0.04, 0.93]]
+        ))
+        base = default_event_family(model, [round(0.05 * i, 2) for i in range(1, 20)])
+        assert len(base) == 61
+        assert 61**5 * 3 * 8 > 20e9 > MAX_EXACT_CERTIFICATE_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigInvalid, match="bytes"):
+                epsilon_certificate(model, (5,) * 5, base_events=base)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        # Five events over 31 base events (9 levels) need 22 MB and still run.
+        assert 31**4 * 3 * 8 < MAX_EXACT_CERTIFICATE_BYTES
 
 
 class TestEventFamilies:

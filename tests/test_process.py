@@ -1,5 +1,6 @@
 """Tests for emissions, model specs, path simulation, and filtering."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -26,7 +27,7 @@ from regimeclt.process import (
     sample_path,
     sample_stationary_mixture,
 )
-from regimeclt.seeds import SeedSpec
+from regimeclt.seeds import REPLICATE_BLOCK, SeedSpec
 
 
 class TestEmissions:
@@ -111,6 +112,15 @@ class TestModelSpec:
             bench_model.initial_distribution(), [2.0 / 3.0, 1.0 / 3.0], atol=1e-12
         )
 
+    def test_stationary_is_cached_read_only_and_not_a_field(self, bench_model):
+        model = ModelSpec.from_json(bench_model.to_json())
+        before = model.to_json()
+        pi = model.stationary()
+        assert model.stationary() is pi
+        assert not pi.flags.writeable
+        assert model.to_json() == before
+        assert [f.name for f in dataclasses.fields(model)] == ["chain", "emissions", "initial"]
+
     def test_json_round_trip(self, bench_model, uniform_model):
         for model in (bench_model, uniform_model):
             again = ModelSpec.from_json(model.to_json())
@@ -187,12 +197,14 @@ class TestIterPathChunks:
         np.testing.assert_array_equal(big[1], small[1])
 
     def test_replicate_matches_manual_reconstruction(self, bench_model):
-        # Replicate r consumes 2n + 1 uniforms from its own stream: one for
-        # the initial regime, n for transitions, n for observations.
-        n, r = 12, 7
+        # Replicate r consumes 2n + 1 uniforms (one for the initial regime, n
+        # for transitions, n for observations) from the stream of block
+        # r // REPLICATE_BLOCK, after the rows of the replicates before it.
+        n, r = 12, REPLICATE_BLOCK + 7
         seed = SeedSpec(5, 1)
         states, obs = self._collect(bench_model, n, r + 1, seed)
-        u = seed.replicate_rng(r).random(2 * n + 1)
+        block, row = divmod(r, REPLICATE_BLOCK)
+        u = seed.block_rng(block).random((row + 1, 2 * n + 1))[row]
         cum_init = np.cumsum(bench_model.initial_distribution())
         state = int(np.searchsorted(cum_init, u[0], side="right"))
         cum = np.cumsum(bench_model.chain.p, axis=1)
@@ -204,6 +216,24 @@ class TestIterPathChunks:
         comps = bench_model.emissions.components
         expect_obs = [comps[s - 1].ppf(u[1 + n + t]) for t, s in enumerate(expect_states)]
         np.testing.assert_allclose(obs[r], expect_obs, rtol=1e-12)
+
+    def test_independent_of_chunk_size_across_blocks(self, bench_model):
+        # 3 * 300 = 900 uniforms fit 300 replicates per chunk, which does not
+        # divide the block size, so chunks start and end mid-block.
+        n, n_paths = 1, 2 * REPLICATE_BLOCK + 100
+        seed = SeedSpec(42, 3)
+        big = self._collect(bench_model, n, n_paths, seed)
+        small = self._collect(bench_model, n, n_paths, seed, max_elements=3 * 300)
+        np.testing.assert_array_equal(big[0], small[0])
+        np.testing.assert_array_equal(big[1], small[1])
+
+    def test_prefix_of_longer_run(self, bench_model):
+        n, m = 4, REPLICATE_BLOCK + 5
+        seed = SeedSpec(8, 6)
+        short = self._collect(bench_model, n, m, seed)
+        long = self._collect(bench_model, n, 2 * REPLICATE_BLOCK + 1, seed)
+        np.testing.assert_array_equal(short[0], long[0][:m])
+        np.testing.assert_array_equal(short[1], long[1][:m])
 
     def test_stationary_marginal_mean(self, bench_model):
         _, obs = self._collect(bench_model, 3, 20_000, SeedSpec(123, 5))

@@ -1,14 +1,17 @@
 """Tests for scenario parsing, experiment runs, artifacts, and the CLI."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from regimeclt import cli
+from regimeclt.chain import stationary_distribution
 from regimeclt.errors import BoundViolated, ConfigInvalid
 from regimeclt.runner import (
     EXPERIMENTS,
+    MAX_CLT_N_GRID,
     Scenario,
     load_scenario,
     run,
@@ -222,6 +225,50 @@ class TestRunScenario:
         assert conv["n_grid"] == [16, 64]
         assert result.report["results"]["block"]["n"] == 64
         assert isinstance(result.report["results"]["ks_monotone_within_noise"], bool)
+
+    @pytest.mark.parametrize(
+        "experiment,params",
+        [
+            ("independence", {"tau_grid": [1, 2, 3], "lags": [2, 2]}),
+            ("cf_gap", {"lags": [2, 2], "t_grid": [1.0], "replicates": 2000}),
+        ],
+    )
+    def test_stationary_law_solved_once_per_model(self, tmp_path, monkeypatch, experiment, params):
+        # independence: one solve for the mixing fit, which works on the bare
+        # chain, and one for the model. cf_gap: one for the model and one for
+        # the stationary-start copy it samples from.
+        calls = []
+
+        def counting(chain):
+            calls.append(chain)
+            return stationary_distribution(chain)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("regimeclt") and (
+                getattr(mod, "stationary_distribution", None) is stationary_distribution
+            ):
+                monkeypatch.setattr(mod, "stationary_distribution", counting)
+        s = Scenario.from_json_dict(scenario_dict(experiment=experiment, params=params))
+        assert run_scenario(s, tmp_path).status == 0
+        assert len(calls) == 2
+
+    def test_clt_gap_not_below_block_is_config_error(self, tmp_path, capsys):
+        # n = 20 gives k = floor(20^0.25) = 2, which the default gap m = 2 fills.
+        path = write_scenario(
+            tmp_path / "clt.json", scenario_dict(experiment="clt", params={"n_grid": [10, 20]})
+        )
+        code = cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-invalid"
+        assert "k=2" in err["message"]
+
+    def test_clt_n_grid_length_keeps_streams_disjoint(self, tmp_path):
+        params = dict(FAST_CLT_PARAMS, n_grid=list(range(64, 64 + MAX_CLT_N_GRID + 1)))
+        s = Scenario.from_json_dict(scenario_dict(experiment="clt", params=params))
+        with pytest.raises(ConfigInvalid, match="n_grid"):
+            run_scenario(s, tmp_path)
+        assert MAX_CLT_N_GRID == 30
 
     def test_nonergodic_model_is_config_error(self, tmp_path):
         obj = scenario_dict()
