@@ -196,20 +196,19 @@ def is_ergodic(chain: TransitionMatrix) -> ErgodicityReport:
     """Check irreducibility and aperiodicity on the support graph.
 
     Irreducibility is decided by forward and backward reachability from state
-    0; the period is the gcd of (depth[u] + 1 - depth[v]) over all support
+    0 (a nonnegative BFS depth on the support graph and on its transpose); the
+    period is the gcd of (depth[u] + 1 - depth[v]) over all support
     edges (u, v), using BFS depths from state 0.
     """
     support = chain.p > 0.0
-    n = chain.n_states
-    fwd = _reachable(support, 0)
-    bwd = _reachable(support.T, 0)
-    if not (fwd.all() and bwd.all()):
-        missing = int(np.flatnonzero(~(fwd & bwd))[0])
+    depth = _bfs_depths(support, 0)
+    communicates = np.minimum(depth, _bfs_depths(support.T, 0)) >= 0
+    if not communicates.all():
+        missing = int(np.flatnonzero(~communicates)[0])
         return ErgodicityReport(
             ergodic=False, irreducible=False, aperiodic=False, period=None,
             reason=f"not irreducible: state {missing} does not communicate with state 0",
         )
-    depth = _bfs_depths(support, 0)
     period = 0
     us, vs = np.nonzero(support)
     for u, v in zip(us.tolist(), vs.tolist()):
@@ -224,21 +223,6 @@ def is_ergodic(chain: TransitionMatrix) -> ErgodicityReport:
         ergodic=True, irreducible=True, aperiodic=True, period=1,
         reason="irreducible and aperiodic",
     )
-
-
-def _reachable(support: NDArray[np.bool_], start: int) -> NDArray[np.bool_]:
-    seen = np.zeros(support.shape[0], dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.flatnonzero(support[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(int(v))
-        frontier = nxt
-    return seen
 
 
 def _bfs_depths(support: NDArray[np.bool_], start: int) -> list[int]:

@@ -14,7 +14,6 @@ by a Chebyshev tail bound so the mass outside [-M, M] is below eta as well.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -239,7 +238,7 @@ def cf_factorization_gap(
         raise ValueError("lags must be positive integers")
     t_idx = np.concatenate([[0], np.cumsum(lags)])
     n = int(t_idx[-1]) + 1
-    stationary_model = dataclasses.replace(model, initial="stationary")
+    stationary_model = model.stationary_start()
     rows = np.empty((replicates, len(t_idx)))
     for start, _states, obs in iter_path_chunks(stationary_model, n, replicates, seed):
         rows[start : start + obs.shape[0]] = obs[:, t_idx]

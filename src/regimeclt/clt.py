@@ -16,7 +16,6 @@ formula is exported alongside for cross-checking.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -182,7 +181,7 @@ def remainder_diagnostic(
     mu = mixture_mean(model)
     mask = np.zeros(n, dtype=bool)
     mask[decomposition.remainder_indices - 1] = True
-    stationary_model = dataclasses.replace(model, initial="stationary")
+    stationary_model = model.stationary_start()
     vals = np.empty(replicates)
     p = decomposition.p
     for start, _states, obs in iter_path_chunks(stationary_model, n, replicates, seed):
@@ -306,7 +305,7 @@ def long_run_std_batch_means(
     if batch_len is None:
         batch_len = batch_length_for(model)
     mu = mixture_mean(model)
-    stationary_model = dataclasses.replace(model, initial="stationary")
+    stationary_model = model.stationary_start()
     batch_means = np.empty(batches)
     for start, _states, obs in iter_path_chunks(stationary_model, batch_len, batches, seed):
         batch_means[start : start + obs.shape[0]] = obs.mean(axis=1) - mu
@@ -389,7 +388,7 @@ def clt_convergence(
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))
     mu = mixture_mean(model)
     normalizer = long_run_std_batch_means(model, seed.child(1), batches=batches)
-    stationary_model = dataclasses.replace(model, initial="stationary")
+    stationary_model = model.stationary_start()
 
     ks_list, cf_list, var_list = [], [], []
     for i, n in enumerate(n_grid):

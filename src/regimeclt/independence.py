@@ -19,7 +19,6 @@ respect.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,8 +33,9 @@ from .process import ModelSpec, iter_path_chunks, mixture_quantile
 from .seeds import SeedSpec
 
 MAX_EXACT_EVENTS = 6
-# Largest prefix array, B^(k-1) N float64 values, that the exact product
-# family certificate may build; larger requests raise ConfigInvalid up front.
+# Largest per-leading-event array, B^(k-2) max(N, B) float64 values, that the
+# exact product family certificate may build; larger requests raise
+# ConfigInvalid up front.
 MAX_EXACT_CERTIFICATE_BYTES = 2**30
 # Absolute slack for exact-arithmetic bound comparisons; covers accumulated
 # round-off in matrix powers.
@@ -132,6 +132,35 @@ def _joint_exact(pi: np.ndarray, powers: list[np.ndarray], weights: list[np.ndar
     return float(v.sum())
 
 
+def conditional_gap_matrix(
+    model: ModelSpec,
+    target_weights: NDArray[np.float64],
+    cond_weights: NDArray[np.float64],
+    tau: int,
+) -> NDArray[np.float64]:
+    """All exact conditional gaps at one lag tau, as one matrix product.
+
+    Rows of target_weights (T, N) and cond_weights (C, N) are per-regime
+    event weights (`RectEvent.weights`). Entry [c, t] of the (C, T) result is
+    |P(A_t at T+tau | B_c at T) - P(A_t at T+tau)| under the stationary law.
+
+    Raises
+    ------
+    EmptyConditioningEvent
+        If some conditioning event has stationary probability 0.
+    """
+    if tau < 1:
+        raise ValueError("tau must be a positive integer")
+    pi = model.stationary()
+    pt = np.linalg.matrix_power(model.chain.p, tau)
+    p_cond = cond_weights @ pi
+    if p_cond.min() <= 0.0:
+        raise EmptyConditioningEvent(f"conditioning event {int(p_cond.argmin())} has probability 0")
+    joint = ((pi * cond_weights) @ pt) @ target_weights.T
+    unconditional = (pi @ pt) @ target_weights.T
+    return np.abs(joint / p_cond[:, None] - unconditional)
+
+
 def conditional_gap_exact(
     model: ModelSpec,
     event_a: RectEvent,
@@ -150,21 +179,12 @@ def conditional_gap_exact(
     EmptyConditioningEvent
         If P(B) = 0 under the stationary law.
     """
-    if tau < 1:
-        raise ValueError("tau must be a positive integer")
-    pi = model.stationary()
-    pt = np.linalg.matrix_power(model.chain.p, tau)
-    w_a = event_a.weights(model)
-    w_b = event_b.weights(model)
-    p_b = float(pi @ w_b)
-    if p_b <= 0.0:
-        raise EmptyConditioningEvent(f"conditioning event {event_b.describe()} has probability 0")
-    joint = float((pi * w_b) @ pt @ w_a)
-    unconditional = float(pi @ pt @ w_a)
-    gap = abs(joint / p_b - unconditional)
+    gaps = conditional_gap_matrix(
+        model, event_a.weights(model)[None, :], event_b.weights(model)[None, :], tau
+    )
     prof = _profile_for(model, tau, profile)
     return GapReport(
-        gap_estimate=gap,
+        gap_estimate=float(gaps[0, 0]),
         std_error=0.0,
         theoretical_bound=2.0 * prof.bound(tau),
         method="exact",
@@ -253,7 +273,7 @@ def _mc_event_rates(
     """Joint and marginal hit rates from a common replicate set."""
     t_idx = _event_times(lags)
     n = int(t_idx[-1]) + 1
-    stationary_model = dataclasses.replace(model, initial="stationary")
+    stationary_model = model.stationary_start()
     joint_hits = 0
     marg_hits = np.zeros(len(events), dtype=np.int64)
     for start, states, obs in iter_path_chunks(stationary_model, n, replicates, seed):
@@ -384,13 +404,15 @@ def _epsilon_exact_product_family(
     """Exact max gap over all tuples of the base family, shared-prefix DP.
 
     Tuples sharing a prefix share the propagated state vector, so the whole
-    family costs O(B^(k-1)) vectorised steps per leading event instead of
-    B^k independent evaluations. Memory grows with B^(k-1).
+    family costs O(B^(k-2)) vectorised steps per leading event instead of
+    B^k independent evaluations. The last lag is fused into one matrix
+    product with P^tau_last W^T, so per leading event at most
+    B^(k-2) max(N, B) values are held.
 
     Raises
     ------
     ConfigInvalid
-        If the B^(k-1) N float64 prefix array would exceed
+        If those B^(k-2) max(N, B) float64 values would exceed
         MAX_EXACT_CERTIFICATE_BYTES; nothing is allocated in that case.
     """
     if len(lags) + 1 > MAX_EXACT_EVENTS:
@@ -398,10 +420,11 @@ def _epsilon_exact_product_family(
             f"exact evaluation supports at most {MAX_EXACT_EVENTS} events"
         )
     n_states = model.n_states
-    needed = len(base) ** len(lags) * n_states * 8
+    n_base = len(base)
+    needed = n_base ** (len(lags) - 1) * max(n_states, n_base) * 8
     if needed > MAX_EXACT_CERTIFICATE_BYTES:
         raise ConfigInvalid(
-            f"exact certificate over {len(base)} events and {len(lags)} lags needs "
+            f"exact certificate over {n_base} events and {len(lags)} lags needs "
             f"{needed} bytes, above the {MAX_EXACT_CERTIFICATE_BYTES}-byte cap; "
             "use fewer quantile levels or fewer lags"
         )
@@ -409,14 +432,17 @@ def _epsilon_exact_product_family(
     powers = [np.linalg.matrix_power(model.chain.p, t) for t in lags]
     w = np.stack([ev.weights(model) for ev in base])  # (B, N)
     marg = w @ pi  # (B,)
+    last = powers[-1] @ w.T  # (N, B)
     best = 0.0
-    for b0 in range(w.shape[0]):
+    for b0 in range(n_base):
         v = (pi * w[b0])[None, :]
         prod = marg[b0 : b0 + 1].copy()
-        for pt in powers:
+        for pt in powers[:-1]:
             v = ((v @ pt)[:, None, :] * w[None, :, :]).reshape(-1, n_states)
             prod = np.multiply.outer(prod, marg).reshape(-1)
-        best = max(best, float(np.max(np.abs(v.sum(axis=-1) - prod))))
+        gap = v @ last  # joint probabilities, (B^(k-2), B)
+        gap -= np.multiply.outer(prod, marg)
+        best = max(best, float(np.max(np.abs(gap, out=gap))))
     return best
 
 
@@ -430,7 +456,7 @@ def _epsilon_mc(
     k = len(lags) + 1
     t_idx = _event_times(lags)
     n = int(t_idx[-1]) + 1
-    stationary_model = dataclasses.replace(model, initial="stationary")
+    stationary_model = model.stationary_start()
 
     # Distinct events appearing at each position, evaluated once per chunk.
     position_events: list[list[RectEvent]] = [[] for _ in range(k)]

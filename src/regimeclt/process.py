@@ -19,6 +19,7 @@ step (stationary initials are therefore fixed points).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from bisect import bisect_right
@@ -338,6 +339,14 @@ class ModelSpec:
             pi = stationary_distribution(self.chain).pi
             object.__setattr__(self, "_stationary", pi)
         return pi
+
+    def stationary_start(self) -> "ModelSpec":
+        """This model started from its stationary law, sharing the cached law."""
+        if self.initial == "stationary":
+            return self
+        model = dataclasses.replace(self, initial="stationary")
+        object.__setattr__(model, "_stationary", self.stationary())
+        return model
 
     def initial_distribution(self) -> NDArray[np.float64]:
         if self.initial == "stationary":

@@ -1,5 +1,6 @@
 """Tests for dependence gaps, mixing envelopes, and the epsilon certificate."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -14,12 +15,13 @@ from regimeclt.independence import (
     RectEvent,
     chained_gap_bound,
     conditional_gap_exact,
+    conditional_gap_matrix,
     default_event_family,
     epsilon_certificate,
     joint_product_gap,
     observable_event_family,
 )
-from regimeclt.process import EmissionSpec, Gaussian, ModelSpec
+from regimeclt.process import EmissionSpec, Gaussian, ModelSpec, ShiftedExponential, Uniform
 from regimeclt.seeds import SeedSpec
 from tests_support import random_chain_pool
 
@@ -30,6 +32,12 @@ STATE2 = RectEvent(frozenset({2}))
 
 def _gaussian_model(rows: np.ndarray) -> ModelSpec:
     comps = tuple(Gaussian(-2.0 + 1.5 * j, 0.6 + 0.2 * j) for j in range(rows.shape[0]))
+    return ModelSpec(TransitionMatrix(rows), EmissionSpec(comps))
+
+
+def _three_family_model() -> ModelSpec:
+    rows = np.array([[0.93, 0.05, 0.02], [0.04, 0.93, 0.03], [0.03, 0.04, 0.93]])
+    comps = (Gaussian(-1.5, 1.0), Uniform(-0.5, 1.5), ShiftedExponential(1.0, 1.0))
     return ModelSpec(TransitionMatrix(rows), EmissionSpec(comps))
 
 
@@ -116,6 +124,32 @@ class TestConditionalGap:
     def test_tau_must_be_positive(self, bench_model):
         with pytest.raises(ValueError):
             conditional_gap_exact(bench_model, FULL, FULL, 0)
+
+
+class TestConditionalGapMatrix:
+    def test_entries_match_single_pair_gaps(self):
+        model = _three_family_model()
+        family = default_event_family(model, (0.25, 0.5, 0.75))
+        pi = model.stationary()
+        conds = [ev for ev in family if float(pi @ ev.weights(model)) > 0.0]
+        w_t = np.stack([ev.weights(model) for ev in family])
+        w_c = np.stack([ev.weights(model) for ev in conds])
+        for tau in range(1, 7):
+            gaps = conditional_gap_matrix(model, w_t, w_c, tau)
+            assert gaps.shape == (len(conds), len(family))
+            for ci, cond in enumerate(conds):
+                for ti, target in enumerate(family):
+                    single = conditional_gap_exact(model, target, cond, tau).gap_estimate
+                    assert abs(gaps[ci, ti] - single) <= 1e-15
+
+    def test_empty_conditioning_event_in_stack(self):
+        model = _three_family_model()
+        # Regime 2 emits Uniform(-0.5, 1.5), so this event has probability 0.
+        below_support = RectEvent(frozenset({2}), -math.inf, -1.0)
+        w_c = np.stack([RectEvent(frozenset({1})).weights(model), below_support.weights(model)])
+        w_t = RectEvent(frozenset({3})).weights(model)[None, :]
+        with pytest.raises(EmptyConditioningEvent):
+            conditional_gap_matrix(model, w_t, w_c, 2)
 
 
 class TestJointProductGap:
@@ -264,6 +298,18 @@ class TestEpsilonCertificate:
         )
         assert eps_base == pytest.approx(eps_family, rel=1e-12)
 
+    @pytest.mark.parametrize("lags", [(3,), (2, 4), (1, 2, 3)])
+    def test_fused_family_matches_explicit_tuples(self, lags):
+        # k = 2 fuses the only lag, so no inner lag expands the prefix.
+        model = _three_family_model()
+        base = default_event_family(model, (0.5,))
+        fused = epsilon_certificate(model, lags, base_events=base)
+        explicit = epsilon_certificate(
+            model, lags, family=itertools.product(base, repeat=len(lags) + 1)
+        )
+        assert fused > 0.0
+        assert abs(fused - explicit) <= 1e-14
+
     def test_mc_certificate_is_conservative(self, bench_model):
         base = default_event_family(bench_model, (0.5,))
         exact = epsilon_certificate(bench_model, (3,), base_events=base)
@@ -296,13 +342,14 @@ class TestEpsilonCertificate:
 
     def test_exact_family_memory_preflight(self):
         # 3 states and 19 quantile levels give B = 3 * 20 + 1 = 61 events; five
-        # lags make the prefix array 61^5 * 3 float64 values, about 20 GB.
+        # lags make the fused last lag hold 61^4 * 61 float64 values per
+        # leading event, about 6.7 GB.
         model = _gaussian_model(np.array(
             [[0.93, 0.05, 0.02], [0.04, 0.93, 0.03], [0.03, 0.04, 0.93]]
         ))
         base = default_event_family(model, [round(0.05 * i, 2) for i in range(1, 20)])
         assert len(base) == 61
-        assert 61**5 * 3 * 8 > 20e9 > MAX_EXACT_CERTIFICATE_BYTES
+        assert 61**4 * 61 * 8 > 6.7e9 > MAX_EXACT_CERTIFICATE_BYTES
         tracemalloc.start()
         try:
             with pytest.raises(ConfigInvalid, match="bytes"):
@@ -311,8 +358,8 @@ class TestEpsilonCertificate:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-        # Five events over 31 base events (9 levels) need 22 MB and still run.
-        assert 31**4 * 3 * 8 < MAX_EXACT_CERTIFICATE_BYTES
+        # Five events over 31 base events (9 levels) need 7.4 MB and still run.
+        assert 31**3 * 31 * 8 < MAX_EXACT_CERTIFICATE_BYTES
 
 
 class TestEventFamilies:

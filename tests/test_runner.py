@@ -9,6 +9,7 @@ import pytest
 from regimeclt import cli
 from regimeclt.chain import stationary_distribution
 from regimeclt.errors import BoundViolated, ConfigInvalid
+from regimeclt.independence import DEFAULT_QUANTILE_LEVELS, RectEvent
 from regimeclt.runner import (
     EXPERIMENTS,
     MAX_CLT_N_GRID,
@@ -231,12 +232,15 @@ class TestRunScenario:
         [
             ("independence", {"tau_grid": [1, 2, 3], "lags": [2, 2]}),
             ("cf_gap", {"lags": [2, 2], "t_grid": [1.0], "replicates": 2000}),
+            ("clt", FAST_CLT_PARAMS),
         ],
     )
     def test_stationary_law_solved_once_per_model(self, tmp_path, monkeypatch, experiment, params):
         # independence: one solve for the mixing fit, which works on the bare
-        # chain, and one for the model. cf_gap: one for the model and one for
-        # the stationary-start copy it samples from.
+        # chain, and one for the model. cf_gap: one for the model; its
+        # stationary-start sampling shares the model's cached law. clt: one
+        # for the model and one for the batch-length mixing fit.
+        expected = {"independence": 2, "cf_gap": 1, "clt": 2}[experiment]
         calls = []
 
         def counting(chain):
@@ -250,7 +254,30 @@ class TestRunScenario:
                 monkeypatch.setattr(mod, "stationary_distribution", counting)
         s = Scenario.from_json_dict(scenario_dict(experiment=experiment, params=params))
         assert run_scenario(s, tmp_path).status == 0
-        assert len(calls) == 2
+        assert len(calls) == expected
+
+    def test_independence_weights_once_per_event(self, tmp_path, monkeypatch):
+        # Event weights are computed once per family event for the gap
+        # matrix, once per event of the certificate's default family, and k
+        # times per target for the joint rows; never once per (tau, target,
+        # condition) triple.
+        calls = []
+        original = RectEvent.weights
+
+        def counting(self, model):
+            calls.append(self)
+            return original(self, model)
+
+        monkeypatch.setattr(RectEvent, "weights", counting)
+        params = {"tau_grid": [1, 2, 3, 4, 5], "lags": [2, 2], "quantile_levels": [0.25, 0.5, 0.75]}
+        s = Scenario.from_json_dict(scenario_dict(experiment="independence", params=params))
+        result = run_scenario(s, tmp_path)
+        assert result.status == 0
+        n_family, n_targets, k = 2 * 4 + 1, 2 * 4, 3
+        n_certificate = 2 * (len(DEFAULT_QUANTILE_LEVELS) + 1) + 1
+        triples = result.report["results"]["n_conditional_rows"]
+        assert triples == 5 * n_targets * n_family
+        assert len(calls) <= n_family + n_certificate + k * n_targets < triples
 
     def test_clt_gap_not_below_block_is_config_error(self, tmp_path, capsys):
         # n = 20 gives k = floor(20^0.25) = 2, which the default gap m = 2 fills.
