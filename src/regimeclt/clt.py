@@ -8,10 +8,16 @@ is second-moment small, and the normalized sum is tested against the
 standard normal law by Kolmogorov-Smirnov distance and characteristic
 function distance.
 
+Emissions depend on the past only through the regime, so every second
+moment of a stationary sum is a finite sum of the autocovariances
+gamma(0) = Var(X) and gamma(s) = (pi * c)^T P^s c for s >= 1, with c the
+centered regime means. The remainder's second moment, the finite-n variance
+of the sum and the long-run variance are computed exactly from them.
+
 Normalization uses the long-run standard deviation of the process (variance
 of the observation plus twice the summed autocovariances), estimated by
-batch means with batch length at least 50 / (1 - alpha); an exact spectral
-formula is exported alongside for cross-checking.
+batch means with batch length at least 50 / (1 - alpha); the exact spectral
+value is exported alongside for cross-checking.
 """
 
 from __future__ import annotations
@@ -147,55 +153,58 @@ def block_sums(values, decomposition: BlockDecomposition) -> tuple[NDArray[np.fl
 # ---------------------------------------------------------------------------
 
 
+def _autocovariance_terms(model: ModelSpec):
+    """gamma(0), a = pi * c, Q = P - 1 pi and the centered regime means c.
+
+    For s >= 1, gamma(s) = a P^s c = a Q^s c, because a sums to zero.
+    """
+    pi = model.stationary()
+    means = model.emissions.means()
+    c = means - float(pi @ means)
+    q = model.chain.p - pi[None, :]
+    return mixture_variance(model), pi * c, q, c
+
+
 @dataclass(frozen=True)
 class RemainderReport:
-    """Monte Carlo second moment of the remainder term against its envelope."""
+    """Exact second moment of the normalized remainder against its envelope."""
 
     n: int
     p: int
-    estimate: float
-    std_error: float
+    second_moment: float
     bound: float
     abs_third_moment: float
-    replicates: int
 
 
-def remainder_diagnostic(
-    model: ModelSpec,
-    decomposition: BlockDecomposition,
-    replicates: int = 400,
-    seed: SeedSpec | None = None,
-) -> RemainderReport:
-    """Estimate E[(Z/sqrt(n))^2] for the remainder Z and compare to p^2 R^2 / n.
+def remainder_diagnostic(model: ModelSpec, decomposition: BlockDecomposition) -> RemainderReport:
+    """Exact E[(Z/sqrt(n))^2] for the stationary remainder Z, against p^2 R^2 / n.
+
+    E[Z^2] = p gamma(0) + 2 sum_{i<j in R} gamma(j - i) over the remainder
+    indices R. Walking R in order, w_j = sum_{i<j} a Q^(r_j - r_i) obeys
+    w_{j+1} = (w_j + a) Q^(r_{j+1} - r_j), so the pair sum is sum_j w_j c with
+    one matrix power per distinct gap (the gaps are 1 and k - m + 1).
 
     R is the stationary-mixture third absolute moment about its mean. The
     envelope is meaningful when R >= 1 (third-moment domination); for R < 1
     it can undercut the true second moment, which the report makes visible
     rather than hiding.
     """
-    if seed is None:
-        raise ValueError("a seed is required")
-    if replicates < 2:
-        raise ValueError("need at least two replicates")
-    n = decomposition.n
-    mu = mixture_mean(model)
-    mask = np.zeros(n, dtype=bool)
-    mask[decomposition.remainder_indices - 1] = True
-    stationary_model = model.stationary_start()
-    vals = np.empty(replicates)
-    p = decomposition.p
-    for start, _states, obs in iter_path_chunks(stationary_model, n, replicates, seed):
-        z = obs[:, mask].sum(axis=1) - mu * p
-        vals[start : start + obs.shape[0]] = (z / math.sqrt(n)) ** 2
+    gamma0, a, q, c = _autocovariance_terms(model)
+    gaps = np.diff(decomposition.remainder_indices)
+    powers = {int(g): np.linalg.matrix_power(q, int(g)) for g in np.unique(gaps)}
+    w = np.zeros_like(a)
+    cross = 0.0
+    for g in gaps.tolist():
+        w = (w + a) @ powers[g]
+        cross += float(w @ c)
+    n, p = decomposition.n, decomposition.p
     r_moment = mixture_abs_third_moment(model)
     return RemainderReport(
         n=n,
         p=p,
-        estimate=float(vals.mean()),
-        std_error=float(vals.std(ddof=1) / math.sqrt(replicates)),
+        second_moment=(p * gamma0 + 2.0 * cross) / n,
         bound=p * p * r_moment * r_moment / n,
         abs_third_moment=r_moment,
-        replicates=replicates,
     )
 
 
@@ -269,18 +278,29 @@ def lindeberg_check(
 def long_run_variance_exact(model: ModelSpec) -> float:
     """Spectral long-run variance of the centered observation sequence.
 
-    Var(X) + 2 sum_{s>=1} Cov(X_0, X_s); the autocovariances involve only
-    the regime means because emissions are conditionally independent given
-    the regimes, and the geometric series is summed in closed form.
+    Var(X) + 2 sum_{s>=1} gamma(s); the autocovariances involve only the
+    regime means because emissions are conditionally independent given the
+    regimes, and the geometric series sums to a Q (I - Q)^-1 c.
     """
-    pi = model.stationary()
-    p = model.chain.p
-    means = model.emissions.means()
-    mu = float(pi @ means)
-    centered = means - mu
-    q = p - pi[None, :].repeat(len(pi), axis=0)
-    tail = np.linalg.solve(np.eye(len(pi)) - q.T, (q.T @ (pi * centered)))
-    return mixture_variance(model) + 2.0 * float(centered @ tail)
+    gamma0, a, q, c = _autocovariance_terms(model)
+    return gamma0 + 2.0 * float(a @ q @ np.linalg.solve(np.eye(len(c)) - q, c))
+
+
+def sum_variance_exact(model: ModelSpec, n: int) -> float:
+    """Var(S_n) of a stationary sum of n observations, in closed form.
+
+    Var(S_n) = n gamma(0) + 2 sum_{s=1}^{n-1} (n - s) gamma(s), and
+    sum_{s=1}^{n-1} (n - s) Q^s = n Q (I - Q)^-1 - Q (I - Q^n) (I - Q)^-2,
+    so one matrix power replaces the loop over s.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    gamma0, a, q, c = _autocovariance_terms(model)
+    eye = np.eye(len(c))
+    y = np.linalg.solve(eye - q, c)
+    qz = q @ np.linalg.solve(eye - q, y)
+    pairs = n * float(a @ q @ y) - float(a @ qz) + float(a @ np.linalg.matrix_power(q, n) @ qz)
+    return n * gamma0 + 2.0 * pairs
 
 
 def batch_length_for(model: ModelSpec) -> int:
@@ -330,7 +350,14 @@ def ks_distance_to_std_normal(values) -> float:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Distance-to-normal measurements over a grid of sequence lengths."""
+    """Distance-to-normal measurements over a grid of sequence lengths.
+
+    variance_ratio is the sample variance of the normalized sums;
+    variance_ratio_exact is Var(S_n) / (n normalizer^2) for the same
+    normalizer, so their difference is sampling noise and the distance of
+    variance_ratio_exact from long_run_variance / normalizer^2 is finite-n
+    bias.
+    """
 
     n_grid: tuple[int, ...]
     ks_distance: tuple[float, ...]
@@ -340,6 +367,7 @@ class ConvergenceReport:
     replicates: int
     normalizer: float
     eta_grid: tuple[float, ...]
+    variance_ratio_exact: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if any(not 0.0 <= v <= 1.0 for v in self.ks_distance):
@@ -354,6 +382,7 @@ class ConvergenceReport:
             "cf_distance": list(self.cf_distance),
             "lindeberg_values": [list(row) for row in np.asarray(self.lindeberg_values)],
             "variance_ratio": list(self.variance_ratio),
+            "variance_ratio_exact": list(self.variance_ratio_exact),
             "replicates": self.replicates,
             "normalizer": self.normalizer,
             "eta_grid": list(self.eta_grid),
@@ -376,9 +405,11 @@ def clt_convergence(
     Y = sum(X_t - mu) / (normalizer sqrt(n)) and compared to the normal law
     through the KS distance, the worst characteristic-function distance over
     t_grid, and the variance ratio Var(Y) (which approaches 1 when the
-    normalizer is right). Stream layout: the pilot normalizer uses stream
-    offset 1, the n_grid runs use offsets 2, 3, ..., and the Lindeberg grid
-    uses offset 64.
+    normalizer is right), reported beside its exact value for the same
+    normalizer. Stream layout: the pilot normalizer uses stream offset 1,
+    the n_grid runs use offsets 2, 3, ..., and the Lindeberg grid uses
+    offset 64. Offset 32 is not drawn: the remainder second moment is exact
+    (remainder_diagnostic).
     """
     if seed is None:
         raise ValueError("a seed is required")
@@ -416,4 +447,7 @@ def clt_convergence(
         replicates=replicates,
         normalizer=normalizer,
         eta_grid=tuple(float(v) for v in eta_grid),
+        variance_ratio_exact=tuple(
+            sum_variance_exact(model, n) / (n * normalizer * normalizer) for n in n_grid
+        ),
     )

@@ -1,14 +1,19 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: dense enumeration, power iteration,
-quadrature, and closed forms derived separately from the library code. The
-point is that agreement between these and the package is meaningful.
+quadrature, term-by-term sums, Monte Carlo estimators the package replaced
+with exact values, and closed forms derived separately from the library
+code. The point is that agreement between these and the package is
+meaningful.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, stats
+
+from regimeclt.process import iter_path_chunks, mixture_abs_third_moment, mixture_mean
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +191,81 @@ def long_run_variance_series(
         gamma = float((pi * c) @ (ps - pi[None, :]) @ c)
         acc += 2.0 * gamma
     return acc
+
+
+def autocovariances(model, n: int) -> np.ndarray:
+    """gamma(0..n-1) of the stationary observations by repeated multiplication."""
+    pi = model.stationary()
+    means = model.emissions.means()
+    c = means - float(pi @ means)
+    gammas = np.empty(n)
+    gammas[0] = float(pi @ (model.emissions.variances() + c * c))
+    v = pi * c
+    for s in range(1, n):
+        v = v @ model.chain.p
+        gammas[s] = float(v @ c)
+    return gammas
+
+
+def remainder_second_moment_pairs(model, remainder_indices, n: int) -> float:
+    """(1/n) sum_{i,j in R} gamma(|i - j|) over every ordered pair."""
+    idx = np.asarray(remainder_indices)
+    gammas = autocovariances(model, n)
+    return float(gammas[np.abs(idx[:, None] - idx[None, :])].sum()) / n
+
+
+def sum_variance_loop(model, n: int) -> float:
+    """Var(S_n) = n gamma(0) + 2 sum_{s=1}^{n-1} (n - s) gamma(s), term by term."""
+    gammas = autocovariances(model, n)
+    total = n * gammas[0]
+    for s in range(1, n):
+        total += 2.0 * (n - s) * gammas[s]
+    return total
+
+
+@dataclass(frozen=True)
+class RemainderEstimate:
+    """Monte Carlo second moment of the remainder term against its envelope."""
+
+    n: int
+    p: int
+    estimate: float
+    std_error: float
+    bound: float
+    abs_third_moment: float
+    replicates: int
+
+
+def remainder_diagnostic_mc(model, decomposition, replicates: int = 400, seed=None) -> RemainderEstimate:
+    """Estimate E[(Z/sqrt(n))^2] for the remainder Z and compare to p^2 R^2 / n.
+
+    Simulates replicates stationary paths of length n and averages the
+    squared normalized remainder sums.
+    """
+    if seed is None:
+        raise ValueError("a seed is required")
+    if replicates < 2:
+        raise ValueError("need at least two replicates")
+    n = decomposition.n
+    mu = mixture_mean(model)
+    mask = np.zeros(n, dtype=bool)
+    mask[decomposition.remainder_indices - 1] = True
+    stationary_model = model.stationary_start()
+    vals = np.empty(replicates)
+    p = decomposition.p
+    for start, _states, obs in iter_path_chunks(stationary_model, n, replicates, seed):
+        z = obs[:, mask].sum(axis=1) - mu * p
+        vals[start : start + obs.shape[0]] = (z / math.sqrt(n)) ** 2
+    r_moment = mixture_abs_third_moment(model)
+    return RemainderEstimate(
+        n=n,
+        p=p,
+        estimate=float(vals.mean()),
+        std_error=float(vals.std(ddof=1) / math.sqrt(replicates)),
+        bound=p * p * r_moment * r_moment / n,
+        abs_third_moment=r_moment,
+        replicates=replicates,
+    )
 
 
 def ks_distance_sorted(values: np.ndarray, cdf) -> float:

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from regimeclt.charfn import build_step_approximation, cf_factorization_gap, truncation_radius
 from regimeclt.chain import TransitionMatrix, mixing_rate
 from regimeclt.clt import (
@@ -233,20 +234,26 @@ def test_criterion_6_block_partition_and_remainder(iid_model):
         if abs(total - x.sum()) > 1e-9 * max(1.0, abs(x.sum())):
             failures += 1
 
-    reports = [
-        remainder_diagnostic(iid_model, decompose(n, 0.25, 1),
-                             replicates=600, seed=SeedSpec(SEED_BASE, 60 + i))
-        for i, n in enumerate((256, 1024, 4096))
+    decompositions = [decompose(n, 0.25, 1) for n in (256, 1024, 4096)]
+    reports = [remainder_diagnostic(iid_model, d) for d in decompositions]
+    shrinking = all(a.second_moment > b.second_moment for a, b in zip(reports, reports[1:]))
+    inside = all(r.abs_third_moment >= 1.0 and r.second_moment <= r.bound for r in reports)
+    estimates = [
+        oracles.remainder_diagnostic_mc(iid_model, d, replicates=600,
+                                        seed=SeedSpec(SEED_BASE, 60 + i))
+        for i, d in enumerate(decompositions)
     ]
-    shrinking = all(a.estimate > b.estimate for a, b in zip(reports, reports[1:]))
-    inside = all(r.abs_third_moment >= 1.0 and r.estimate <= r.bound for r in reports)
-    ok = failures == 0 and shrinking and inside
+    agree = all(abs(e.estimate - r.second_moment) <= 4 * e.std_error
+                for e, r in zip(estimates, reports))
+    ok = failures == 0 and shrinking and inside and agree
     _verdict(6, "block partition/reconstruction on 1000 random cases",
              ok, f"{failures} failure(s); remainder second moments "
-                 + ", ".join(f"{r.estimate:.4f}" for r in reports))
+                 + ", ".join(f"{r.second_moment:.4f}" for r in reports)
+                 + "; Monte Carlo " + ", ".join(f"{e.estimate:.4f}" for e in estimates))
     assert failures == 0
     assert shrinking
     assert inside
+    assert agree
 
 
 def test_criterion_7_lindeberg_behavior(bench_model, uniform_model):

@@ -23,9 +23,17 @@ from regimeclt.clt import (
     long_run_std_batch_means,
     long_run_variance_exact,
     remainder_diagnostic,
+    sum_variance_exact,
 )
 from regimeclt.errors import GapExceedsBlock, LengthMismatch
-from regimeclt.process import EmissionSpec, Gaussian, ModelSpec, sample_path
+from regimeclt.process import (
+    EmissionSpec,
+    Gaussian,
+    ModelSpec,
+    ShiftedExponential,
+    Uniform,
+    sample_path,
+)
 from regimeclt.seeds import SeedSpec
 from tests_support import random_chain_pool
 
@@ -139,7 +147,7 @@ class TestRemainderDiagnostic:
         # For iid standard normal values the remainder is a sum of p
         # independent terms, so E[(Z / sqrt(n))^2] = p / n.
         d = decompose(4096, 0.25, 2)
-        rep = remainder_diagnostic(iid_model, d, replicates=600, seed=SeedSpec(15, 1))
+        rep = oracles.remainder_diagnostic_mc(iid_model, d, replicates=600, seed=SeedSpec(15, 1))
         assert rep.p == d.p
         assert abs(rep.estimate - d.p / d.n) <= 4 * rep.std_error
         assert rep.abs_third_moment == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=1e-12)
@@ -147,10 +155,10 @@ class TestRemainderDiagnostic:
         assert rep.estimate < rep.bound
 
     def test_share_shrinks_with_n(self, iid_model):
-        small = remainder_diagnostic(
+        small = oracles.remainder_diagnostic_mc(
             iid_model, decompose(256, 0.25, 1), replicates=400, seed=SeedSpec(15, 2)
         )
-        large = remainder_diagnostic(
+        large = oracles.remainder_diagnostic_mc(
             iid_model, decompose(4096, 0.25, 1), replicates=400, seed=SeedSpec(15, 3)
         )
         assert large.estimate < small.estimate
@@ -158,9 +166,56 @@ class TestRemainderDiagnostic:
     def test_argument_errors(self, iid_model):
         d = decompose(64, 0.25, 1)
         with pytest.raises(ValueError):
-            remainder_diagnostic(iid_model, d)
+            oracles.remainder_diagnostic_mc(iid_model, d)
         with pytest.raises(ValueError):
-            remainder_diagnostic(iid_model, d, replicates=1, seed=SeedSpec(1))
+            oracles.remainder_diagnostic_mc(iid_model, d, replicates=1, seed=SeedSpec(1))
+
+    def test_exact_iid_is_p_var_over_n(self):
+        model = ModelSpec(TransitionMatrix(np.array([[1.0]])), EmissionSpec((Gaussian(0.5, 1.7),)))
+        for n, m in ((256, 1), (4096, 2), (60_000, 3)):
+            d = decompose(n, 0.25, m)
+            rep = remainder_diagnostic(model, d)
+            assert (rep.n, rep.p) == (n, d.p)
+            assert rep.second_moment == pytest.approx(d.p * 1.7**2 / n, rel=1e-14)
+            assert rep.bound == pytest.approx(d.p**2 * rep.abs_third_moment**2 / n, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        chain_index=st.integers(min_value=0, max_value=19),
+        n=st.integers(min_value=16, max_value=400),
+        alpha_exp=st.floats(min_value=0.15, max_value=0.25),
+        m_frac=st.floats(min_value=0.0, max_value=0.999),
+    )
+    def test_exact_matches_pair_sum(self, chain_index, n, alpha_exp, m_frac):
+        k = int(math.floor(n**alpha_exp + 1e-9))
+        if k < 2:
+            return
+        m = max(1, min(k - 1, int(1 + m_frac * (k - 1))))
+        rows = _REMAINDER_CHAINS[chain_index]
+        size = rows.shape[0]
+        comps = tuple(Gaussian(1.3 * j - size / 2.0, 0.4 + 0.2 * j) for j in range(size))
+        model = ModelSpec(TransitionMatrix(rows), EmissionSpec(comps))
+        d = decompose(n, alpha_exp, m)
+        expected = oracles.remainder_second_moment_pairs(model, d.remainder_indices, n)
+        got = remainder_diagnostic(model, d).second_moment
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_monte_carlo_oracle_agrees_on_slow_chain(self):
+        # The three-state chain of the long-paths benchmark (second eigenvalue
+        # modulus about 0.906), one emission of each family.
+        rows = np.array([[0.93, 0.05, 0.02], [0.04, 0.93, 0.03], [0.03, 0.04, 0.93]])
+        comps = (Gaussian(-1.5, 1.0), Uniform(-0.5, 1.5), ShiftedExponential(1.0, 1.0))
+        model = ModelSpec(TransitionMatrix(rows), EmissionSpec(comps))
+        d = decompose(16_000, 0.25, 2)
+        exact = remainder_diagnostic(model, d)
+        assert (d.k, d.p) == (11, 2914)
+        assert exact.second_moment == pytest.approx(1.4623753134535, abs=1e-9)
+        mc = oracles.remainder_diagnostic_mc(model, d, replicates=400, seed=SeedSpec(15, 4))
+        assert exact.bound == mc.bound
+        assert abs(mc.estimate - exact.second_moment) <= 4 * mc.std_error
+
+
+_REMAINDER_CHAINS = random_chain_pool(20, seed=707, n_max=6)
 
 
 class TestLindeberg:
@@ -229,6 +284,36 @@ class TestLongRunVariance:
                 model.stationary(), rows, model.emissions.means(), model.emissions.variances()
             )
             assert long_run_variance_exact(model) == pytest.approx(expected, rel=1e-9)
+
+
+class TestSumVarianceExact:
+    @pytest.mark.parametrize("n", [1, 10, 100, 1000])
+    def test_matches_autocovariance_loop(self, n, bench_model, uniform_model):
+        models = [bench_model, uniform_model]
+        for rows in random_chain_pool(5, seed=808, n_max=6):
+            size = rows.shape[0]
+            comps = tuple(Gaussian(float(j) - size / 2.0, 0.5 + 0.1 * j) for j in range(size))
+            models.append(ModelSpec(TransitionMatrix(rows), EmissionSpec(comps)))
+        for model in models:
+            expected = oracles.sum_variance_loop(model, n)
+            assert sum_variance_exact(model, n) == pytest.approx(expected, rel=1e-12)
+
+    def test_iid_is_n_times_variance(self, iid_model):
+        assert sum_variance_exact(iid_model, 777) == pytest.approx(777.0, rel=1e-15)
+
+    def test_per_step_variance_tends_to_long_run_variance(self, bench_model):
+        lrv = long_run_variance_exact(bench_model)
+        errors = [abs(sum_variance_exact(bench_model, n) / n - lrv) for n in (100, 1000, 10_000)]
+        # The finite-n bias is -2 sum_{s<n} s gamma(s) / n - 2 sum_{s>=n} gamma(s),
+        # and gamma(s) decays like 0.7^s: past n = 100 it falls tenfold per
+        # tenfold n.
+        for a, b in zip(errors, errors[1:]):
+            assert b == pytest.approx(a / 10.0, rel=1e-9)
+        assert errors[-1] < 1e-3 * lrv
+
+    def test_argument_errors(self, bench_model):
+        with pytest.raises(ValueError):
+            sum_variance_exact(bench_model, 0)
 
 
 class TestBatchMeans:
@@ -307,6 +392,20 @@ class TestConvergenceReport:
         assert again["n_grid"] == [16, 64]
         assert len(again["ks_distance"]) == 2
         assert len(again["lindeberg_values"]) == 2
+
+    def test_exact_variance_ratio_uses_the_report_normalizer(self, bench_model):
+        rep = clt_convergence(
+            bench_model, (16, 256, 4096), replicates=50, seed=SeedSpec(60, 2),
+            batches=100, lindeberg_replicates=1_000,
+        )
+        norm2 = rep.normalizer**2
+        expected = [sum_variance_exact(bench_model, n) / (n * norm2) for n in rep.n_grid]
+        assert rep.to_json_dict()["variance_ratio_exact"] == expected
+        # Toward the long-run variance over the same squared normalizer.
+        limit = long_run_variance_exact(bench_model) / norm2
+        gaps = [abs(r - limit) for r in rep.variance_ratio_exact]
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[2] < 1e-3 * limit
 
 
 class TestCltConvergence:

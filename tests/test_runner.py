@@ -9,7 +9,7 @@ import pytest
 from regimeclt import cli
 from regimeclt.chain import stationary_distribution
 from regimeclt.errors import BoundViolated, ConfigInvalid
-from regimeclt.independence import DEFAULT_QUANTILE_LEVELS, RectEvent
+from regimeclt.independence import RectEvent, default_event_family, epsilon_certificate
 from regimeclt.runner import (
     EXPERIMENTS,
     MAX_CLT_N_GRID,
@@ -227,6 +227,29 @@ class TestRunScenario:
         assert result.report["results"]["block"]["n"] == 64
         assert isinstance(result.report["results"]["ks_monotone_within_noise"], bool)
 
+    def test_clt_remainder_is_exact(self, tmp_path):
+        # remainder_replicates is still validated but no longer read: the
+        # remainder second moment is exact, so it does not move any output.
+        results, tables = [], []
+        for reps in (30, 7):
+            params = dict(FAST_CLT_PARAMS, remainder_replicates=reps)
+            s = Scenario.from_json_dict(scenario_dict(experiment="clt", params=params))
+            result = run_scenario(s, tmp_path / str(reps))
+            results.append(result.report["results"])
+            tables.append(result.csv_path.read_text())
+        assert results[0] == results[1] and tables[0] == tables[1]
+        rem = results[0]["remainder"]
+        assert set(rem) == {"second_moment", "bound", "abs_third_moment"}
+        rows = [line.split(",") for line in tables[0].splitlines()[1:]]
+        (remainder_row,) = [r for r in rows if r[0] == "remainder"]
+        assert remainder_row[2:] == [repr(rem["second_moment"]), "", repr(rem["bound"])]
+        exact_rows = [r for r in rows if r[0] == "variance_ratio_exact"]
+        assert [r[1] for r in exact_rows] == ["n=16", "n=64"]
+        assert [float(r[2]) for r in exact_rows] == results[0]["convergence"]["variance_ratio_exact"]
+        with pytest.raises(ConfigInvalid):
+            Scenario.from_json_dict(scenario_dict(
+                experiment="clt", params=dict(FAST_CLT_PARAMS, remainder_replicates=0)))
+
     @pytest.mark.parametrize(
         "experiment,params",
         [
@@ -258,7 +281,7 @@ class TestRunScenario:
 
     def test_independence_weights_once_per_event(self, tmp_path, monkeypatch):
         # Event weights are computed once per family event for the gap
-        # matrix, once per event of the certificate's default family, and k
+        # matrix, once per family event again for the certificate, and k
         # times per target for the joint rows; never once per (tau, target,
         # condition) triple.
         calls = []
@@ -274,10 +297,29 @@ class TestRunScenario:
         result = run_scenario(s, tmp_path)
         assert result.status == 0
         n_family, n_targets, k = 2 * 4 + 1, 2 * 4, 3
-        n_certificate = 2 * (len(DEFAULT_QUANTILE_LEVELS) + 1) + 1
         triples = result.report["results"]["n_conditional_rows"]
         assert triples == 5 * n_targets * n_family
-        assert len(calls) <= n_family + n_certificate + k * n_targets < triples
+        assert len(calls) <= 2 * n_family + k * n_targets < triples
+
+    def test_independence_certificate_uses_scenario_levels(self, tmp_path, monkeypatch):
+        levels = [0.25, 0.5, 0.75]
+        weighed = set()
+        original = RectEvent.weights
+
+        def recording(self, model):
+            weighed.add(self)
+            return original(self, model)
+
+        monkeypatch.setattr(RectEvent, "weights", recording)
+        params = {"tau_grid": [1, 2], "lags": [2, 3], "quantile_levels": levels}
+        s = Scenario.from_json_dict(scenario_dict(experiment="independence", params=params))
+        result = run_scenario(s, tmp_path)
+        assert result.status == 0
+        family = default_event_family(s.model, levels)
+        # No event of the default nine-level family outside the scenario's.
+        assert weighed <= set(family)
+        expected = epsilon_certificate(s.model, [2, 3], base_events=family)
+        assert result.report["results"]["epsilon_hat"] == expected
 
     def test_clt_gap_not_below_block_is_config_error(self, tmp_path, capsys):
         # n = 20 gives k = floor(20^0.25) = 2, which the default gap m = 2 fills.
