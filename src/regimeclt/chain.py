@@ -60,6 +60,23 @@ class TransitionMatrix:
     def n_states(self) -> int:
         return self.p.shape[0]
 
+    def stationary(self) -> NDArray[np.float64]:
+        """Read-only stationary law of the chain, solved once per chain.
+
+        The cache is an instance attribute, not a field, so equality,
+        hashing and the JSON form do not see it.
+
+        Raises
+        ------
+        NotErgodic
+            As `stationary_distribution` does.
+        """
+        pi = self.__dict__.get("_stationary")
+        if pi is None:
+            pi = stationary_distribution(self).pi
+            object.__setattr__(self, "_stationary", pi)
+        return pi
+
     def to_json_dict(self) -> dict:
         return {"n_states": self.n_states, "rows": [list(map(float, row)) for row in self.p]}
 
@@ -251,7 +268,7 @@ def mixing_rate(chain: TransitionMatrix, s_max: int = 30) -> MixingProfile:
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    pi = stationary_distribution(chain).pi
+    pi = chain.stationary()
     eigvals = np.linalg.eigvals(chain.p)
     moduli = np.sort(np.abs(eigvals))[::-1]
     alpha = float(moduli[1]) if chain.n_states > 1 else 0.0

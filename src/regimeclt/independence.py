@@ -34,8 +34,8 @@ from .seeds import SeedSpec
 
 MAX_EXACT_EVENTS = 6
 # Largest per-leading-event array, B^(k-2) max(N, B) float64 values, that the
-# exact product family certificate may build; larger requests raise
-# ConfigInvalid up front.
+# exact product family certificate may build, with B counted after dominated
+# events are pruned; larger requests raise ConfigInvalid up front.
 MAX_EXACT_CERTIFICATE_BYTES = 2**30
 # Absolute slack for exact-arithmetic bound comparisons; covers accumulated
 # round-off in matrix powers.
@@ -363,6 +363,14 @@ def epsilon_certificate(
     swaps in a different per-position event pool. In Monte Carlo mode every
     tuple is evaluated on a common replicate set and 3 standard errors are
     added, making the certificate conservative.
+
+    The exact gap is multilinear in the events' weight vectors: an event
+    weighing s v, with 0 <= s <= 1 and v another pool event's weights, gives
+    s times the gap of the same tuple with v in its place. The exact route
+    over a pool (default or base_events) therefore scores only the pool's
+    undominated events, which gives the same maximum; for the default pool
+    these are the full-line regime events and the full space. An explicit
+    family is evaluated tuple by tuple as given.
     """
     lags = tuple(int(t) for t in lags)
     if not lags:
@@ -403,34 +411,38 @@ def _epsilon_exact_product_family(
 ) -> float:
     """Exact max gap over all tuples of the base family, shared-prefix DP.
 
-    Tuples sharing a prefix share the propagated state vector, so the whole
-    family costs O(B^(k-2)) vectorised steps per leading event instead of
-    B^k independent evaluations. The last lag is fused into one matrix
-    product with P^tau_last W^T, so per leading event at most
+    The base is first pruned to its undominated events (`_undominated`),
+    which by multilinearity of the gap leaves the maximum unchanged.
+
+    Tuples sharing a prefix share the propagated state vector, so the
+    pruned family of B events costs O(B^(k-2)) vectorised steps per leading
+    event instead of B^k independent evaluations. The last lag is fused into
+    one matrix product with P^tau_last W^T, so per leading event at most
     B^(k-2) max(N, B) values are held.
 
     Raises
     ------
     ConfigInvalid
-        If those B^(k-2) max(N, B) float64 values would exceed
-        MAX_EXACT_CERTIFICATE_BYTES; nothing is allocated in that case.
+        If those B^(k-2) max(N, B) float64 values, counted over the pruned
+        base, would exceed MAX_EXACT_CERTIFICATE_BYTES; nothing beyond the
+        base's weights is allocated in that case.
     """
     if len(lags) + 1 > MAX_EXACT_EVENTS:
         raise TooManyEventsForExact(
             f"exact evaluation supports at most {MAX_EXACT_EVENTS} events"
         )
     n_states = model.n_states
-    n_base = len(base)
+    w = _undominated(np.stack([ev.weights(model) for ev in base]))  # (B, N)
+    n_base = w.shape[0]
     needed = n_base ** (len(lags) - 1) * max(n_states, n_base) * 8
     if needed > MAX_EXACT_CERTIFICATE_BYTES:
         raise ConfigInvalid(
-            f"exact certificate over {n_base} events and {len(lags)} lags needs "
-            f"{needed} bytes, above the {MAX_EXACT_CERTIFICATE_BYTES}-byte cap; "
+            f"exact certificate over {n_base} undominated events and {len(lags)} lags "
+            f"needs {needed} bytes, above the {MAX_EXACT_CERTIFICATE_BYTES}-byte cap; "
             "use fewer quantile levels or fewer lags"
         )
     pi = model.stationary()
     powers = [np.linalg.matrix_power(model.chain.p, t) for t in lags]
-    w = np.stack([ev.weights(model) for ev in base])  # (B, N)
     marg = w @ pi  # (B,)
     last = powers[-1] @ w.T  # (N, B)
     best = 0.0
@@ -444,6 +456,30 @@ def _epsilon_exact_product_family(
         gap -= np.multiply.outer(prod, marg)
         best = max(best, float(np.max(np.abs(gap, out=gap))))
     return best
+
+
+def _undominated(w: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Rows of w (B, N) that the exact certificate must score.
+
+    The gap is multilinear in each event's weights, so in any tuple a row
+    s v with 0 <= s <= 1 gives s times the gap of row v. Kept, in their
+    original order: every row with two or more positive entries and, per
+    regime j, the first row of largest weight among the rows positive on j
+    alone. All-zero rows are dropped.
+    """
+    n_rows, n_states = w.shape
+    support = np.count_nonzero(w, axis=1)
+    regime = np.argmax(w, axis=1)  # the one regime of a single-regime row
+    weight = w.max(axis=1)
+    single = support == 1
+    top = np.zeros(n_states)
+    np.maximum.at(top, regime[single], weight[single])
+    rows = np.flatnonzero(single & (weight == top[regime]))
+    first = np.full(n_states, n_rows)
+    np.minimum.at(first, regime[rows], rows)
+    keep = support > 1
+    keep[first[first < n_rows]] = True
+    return w[keep]
 
 
 def _epsilon_mc(

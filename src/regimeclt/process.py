@@ -30,7 +30,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import integrate, optimize, special
 
-from .chain import ROW_SUM_TOL, TransitionMatrix, is_ergodic, stationary_distribution
+from .chain import ROW_SUM_TOL, TransitionMatrix, is_ergodic
 from .errors import InvalidModel, ZeroLikelihood
 from .seeds import REPLICATE_BLOCK, SeedSpec
 
@@ -329,24 +329,14 @@ class ModelSpec:
         return self.chain.n_states
 
     def stationary(self) -> NDArray[np.float64]:
-        """Read-only stationary law of the chain, solved once per model.
-
-        The cache is an instance attribute, not a field, so equality,
-        hashing and the JSON form do not see it.
-        """
-        pi = self.__dict__.get("_stationary")
-        if pi is None:
-            pi = stationary_distribution(self.chain).pi
-            object.__setattr__(self, "_stationary", pi)
-        return pi
+        """Read-only stationary law of the chain, cached on the chain."""
+        return self.chain.stationary()
 
     def stationary_start(self) -> "ModelSpec":
-        """This model started from its stationary law, sharing the cached law."""
+        """This model started from its stationary law, sharing the chain."""
         if self.initial == "stationary":
             return self
-        model = dataclasses.replace(self, initial="stationary")
-        object.__setattr__(model, "_stationary", self.stationary())
-        return model
+        return dataclasses.replace(self, initial="stationary")
 
     def initial_distribution(self) -> NDArray[np.float64]:
         if self.initial == "stationary":

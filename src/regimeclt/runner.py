@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .chain import is_ergodic, mixing_rate, stationary_distribution
+from .chain import is_ergodic, mixing_rate
 from .charfn import build_step_approximation, cf_factorization_gap, truncation_radius
 from .clt import clt_convergence, decompose, remainder_diagnostic
 from .errors import BoundViolated, ConfigInvalid, GapExceedsBlock, RegimecltError
@@ -270,7 +270,7 @@ def _experiment_mixing(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
     params = scenario.params
     chain = scenario.model.chain
     prof = mixing_rate(chain, s_max=params["s_max"])
-    pi = stationary_distribution(chain).pi
+    pi = chain.stationary()
     rows: list[Row] = []
     violations: list[str] = []
     for s, gap in prof.gaps:

@@ -3,9 +3,12 @@
 import itertools
 import math
 import tracemalloc
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from regimeclt.chain import TransitionMatrix, mixing_rate
@@ -33,6 +36,24 @@ STATE2 = RectEvent(frozenset({2}))
 def _gaussian_model(rows: np.ndarray) -> ModelSpec:
     comps = tuple(Gaussian(-2.0 + 1.5 * j, 0.6 + 0.2 * j) for j in range(rows.shape[0]))
     return ModelSpec(TransitionMatrix(rows), EmissionSpec(comps))
+
+
+_EMISSION_KINDS = ("gaussian", "uniform", "shifted_exponential")
+_PRUNING_CHAINS = random_chain_pool(12, seed=2718, n_min=2, n_max=3)
+
+
+def _mixed_model(rows: np.ndarray, kinds: Sequence[str]) -> ModelSpec:
+    """One emission per regime, of the named family, spread along the line."""
+    comps = []
+    for j, kind in enumerate(kinds[: rows.shape[0]]):
+        shift = 1.2 * j - 1.0
+        if kind == "gaussian":
+            comps.append(Gaussian(shift, 0.5 + 0.3 * j))
+        elif kind == "uniform":
+            comps.append(Uniform(shift, shift + 1.0 + 0.5 * j))
+        else:
+            comps.append(ShiftedExponential(1.0 / (0.4 + 0.3 * j), shift))
+    return ModelSpec(TransitionMatrix(rows), EmissionSpec(tuple(comps)))
 
 
 def _three_family_model() -> ModelSpec:
@@ -201,6 +222,34 @@ class TestJointProductGap:
         assert mc.std_error > 0.0
         assert abs(mc.gap_estimate - exact.gap_estimate) <= 4 * mc.std_error
 
+    @pytest.mark.parametrize("kind", _EMISSION_KINDS)
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        chain_index=st.integers(min_value=0, max_value=len(_PRUNING_CHAINS) - 1),
+        picks=st.lists(st.integers(min_value=0, max_value=10**6), min_size=2, max_size=3),
+        lags=st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=2),
+    )
+    def test_mc_agrees_with_exact_across_families(self, kind, chain_index, picks, lags):
+        # The reported SE is a Wald error, so rare joint events (a handful of
+        # hits) are left out rather than judged by it.
+        model = _mixed_model(_PRUNING_CHAINS[chain_index], (kind,) * 3)
+        family = default_event_family(model, (0.25, 0.5, 0.75)) + observable_event_family(
+            model, (0.25, 0.5, 0.75)
+        )
+        events = [family[i % len(family)] for i in picks]
+        lags = tuple(lags[: len(events) - 1])
+        pi = model.stationary()
+        weights = [ev.weights(model) for ev in events]
+        joint = oracles.enumerate_joint_probability(
+            pi, model.chain.p, [0, *itertools.accumulate(lags)], weights
+        )
+        assume(joint >= 0.005)
+        exact = joint_product_gap(model, events, lags)
+        mc = joint_product_gap(
+            model, events, lags, method="mc", replicates=40_000, seed=SeedSpec(4049, 3)
+        )
+        assert abs(mc.gap_estimate - exact.gap_estimate) <= 4 * mc.std_error
+
     def test_mc_deterministic_in_seed(self, bench_model):
         events = [STATE1, STATE2]
         a = joint_product_gap(
@@ -341,13 +390,13 @@ class TestEpsilonCertificate:
             epsilon_certificate(bench_model, (1,) * 6, base_events=[FULL, STATE1])
 
     def test_exact_family_memory_preflight(self):
-        # 3 states and 19 quantile levels give B = 3 * 20 + 1 = 61 events; five
-        # lags make the fused last lag hold 61^4 * 61 float64 values per
-        # leading event, about 6.7 GB.
+        # 60 quantile levels give 61 observation-only events, all weighing
+        # every regime, so none is dominated; five lags make the fused last
+        # lag hold 61^4 * 61 float64 values per leading event, about 6.7 GB.
         model = _gaussian_model(np.array(
             [[0.93, 0.05, 0.02], [0.04, 0.93, 0.03], [0.03, 0.04, 0.93]]
         ))
-        base = default_event_family(model, [round(0.05 * i, 2) for i in range(1, 20)])
+        base = observable_event_family(model, [i / 61 for i in range(1, 61)])
         assert len(base) == 61
         assert 61**4 * 61 * 8 > 6.7e9 > MAX_EXACT_CERTIFICATE_BYTES
         tracemalloc.start()
@@ -360,6 +409,72 @@ class TestEpsilonCertificate:
         assert peak < 1_000_000
         # Five events over 31 base events (9 levels) need 7.4 MB and still run.
         assert 31**3 * 31 * 8 < MAX_EXACT_CERTIFICATE_BYTES
+
+    def test_dominated_default_family_runs_past_preflight(self):
+        # 3 states and 19 quantile levels give B = 3 * 20 + 1 = 61 default
+        # events, which the preflight refused before dominated events were
+        # pruned. Only the three full-line regime events and the full space
+        # are undominated, so 4^6 tuples give the same maximum.
+        model = _gaussian_model(np.array(
+            [[0.93, 0.05, 0.02], [0.04, 0.93, 0.03], [0.03, 0.04, 0.93]]
+        ))
+        base = default_event_family(model, [round(0.05 * i, 2) for i in range(1, 20)])
+        assert len(base) == 61
+        survivors = [ev for ev in base if ev.lo == -math.inf and ev.hi == math.inf]
+        assert len(survivors) == 4
+        lags = (5,) * 5
+        eps = epsilon_certificate(model, lags, base_events=base)
+        explicit = epsilon_certificate(
+            model, lags, family=itertools.product(survivors, repeat=6)
+        )
+        assert eps > 0.0
+        assert abs(eps - explicit) <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @example(chain_index=0, kinds=("gaussian", "uniform", "uniform"), levels=[0.05, 0.95],
+             lags=(2, 3), subset_seed=0)
+    @given(
+        chain_index=st.integers(min_value=0, max_value=len(_PRUNING_CHAINS) - 1),
+        kinds=st.tuples(*[st.sampled_from(_EMISSION_KINDS)] * 3),
+        levels=st.lists(st.sampled_from([0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98]),
+                        min_size=1, max_size=3),
+        lags=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=2).map(tuple),
+        subset_seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_pruned_family_matches_full_explicit_tuples(
+        self, chain_index, kinds, levels, lags, subset_seed
+    ):
+        # Repeating the first level duplicates its events, so exact ties
+        # among single-regime events always occur; low levels leave bounded
+        # emissions with zero-weight events. A random half of the family
+        # leaves some regimes without their full-line event.
+        rows = _PRUNING_CHAINS[chain_index]
+        model = _mixed_model(rows, kinds)
+        family = default_event_family(model, levels + levels[:1])
+        keep = np.random.default_rng(subset_seed).random(len(family)) < 0.5
+        for base in (family, [ev for ev, kept in zip(family, keep) if kept] or family[:1]):
+            pruned = epsilon_certificate(model, lags, base_events=base)
+            explicit = epsilon_certificate(
+                model, lags, family=itertools.product(base, repeat=len(lags) + 1)
+            )
+            assert abs(pruned - explicit) <= 1e-14
+
+    def test_multi_regime_events_survive_pruning(self):
+        # Observation-only events weigh every regime, so pruning must keep
+        # them; the two light regime-1 events alone give a smaller maximum.
+        model = _three_family_model()
+        singles = (
+            RectEvent(frozenset({1}), -math.inf, -3.0),
+            RectEvent(frozenset({1}), -math.inf, -3.5),
+        )
+        base = observable_event_family(model, (0.3, 0.6))[:-1] + singles
+        for lags in [(2,), (1, 3)]:
+            pruned = epsilon_certificate(model, lags, base_events=base)
+            explicit = epsilon_certificate(
+                model, lags, family=itertools.product(base, repeat=len(lags) + 1)
+            )
+            assert pruned > epsilon_certificate(model, lags, base_events=singles)
+            assert abs(pruned - explicit) <= 1e-14
 
 
 class TestEventFamilies:

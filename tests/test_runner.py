@@ -256,14 +256,12 @@ class TestRunScenario:
             ("independence", {"tau_grid": [1, 2, 3], "lags": [2, 2]}),
             ("cf_gap", {"lags": [2, 2], "t_grid": [1.0], "replicates": 2000}),
             ("clt", FAST_CLT_PARAMS),
+            ("mixing", {"s_max": 15}),
         ],
     )
     def test_stationary_law_solved_once_per_model(self, tmp_path, monkeypatch, experiment, params):
-        # independence: one solve for the mixing fit, which works on the bare
-        # chain, and one for the model. cf_gap: one for the model; its
-        # stationary-start sampling shares the model's cached law. clt: one
-        # for the model and one for the batch-length mixing fit.
-        expected = {"independence": 2, "cf_gap": 1, "clt": 2}[experiment]
+        # The law is cached on the chain, which the model, its stationary-start
+        # copy and the mixing fits all share: one solve per run.
         calls = []
 
         def counting(chain):
@@ -277,7 +275,7 @@ class TestRunScenario:
                 monkeypatch.setattr(mod, "stationary_distribution", counting)
         s = Scenario.from_json_dict(scenario_dict(experiment=experiment, params=params))
         assert run_scenario(s, tmp_path).status == 0
-        assert len(calls) == expected
+        assert len(calls) == 1
 
     def test_independence_weights_once_per_event(self, tmp_path, monkeypatch):
         # Event weights are computed once per family event for the gap
