@@ -33,6 +33,8 @@ GAP_NOISE_FLOOR = 1e-13
 class TransitionMatrix:
     """Row-stochastic matrix of regime transition probabilities.
 
+    Two matrices are equal, and hash equal, when their entries are.
+
     Parameters
     ----------
     p : ndarray of shape (n, n)
@@ -52,9 +54,17 @@ class TransitionMatrix:
         row_err = np.max(np.abs(p.sum(axis=1) - 1.0))
         if row_err > ROW_SUM_TOL:
             raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}; max error {row_err:.3e}")
-        p = p.copy()
+        p = p + 0.0  # a copy, with -0.0 stored as 0.0 so equal entries hash equal
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TransitionMatrix):
+            return NotImplemented
+        return np.array_equal(self.p, other.p)
+
+    def __hash__(self) -> int:
+        return hash((self.p.shape, self.p.tobytes()))
 
     @property
     def n_states(self) -> int:

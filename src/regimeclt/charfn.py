@@ -20,10 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .errors import ConfigInvalid
 from .process import ModelSpec, iter_path_chunks, mixture_mean, mixture_variance
 from .seeds import SeedSpec
 
 STEP_CHECK_POINTS = 10_000
+# Cells in 2^30 bytes at 48 bytes per cell (breakpoints, midpoints and two
+# complex arrays): the largest step approximation that is built.
+_MAX_STEP_CELLS = 2**30 // 48
 
 
 @dataclass(frozen=True)
@@ -123,6 +127,11 @@ def build_step_approximation(t: float, eta: float, radius: float) -> StepApproxi
     Cell width is at most eta / (|t| + 1) and each coefficient is the value
     of exp(itx) at the cell midpoint. For t = 0 a single cell with
     coefficient 1 is exact.
+
+    Raises
+    ------
+    ConfigInvalid
+        If the cells would take more than 2^30 bytes; nothing is allocated.
     """
     if eta <= 0.0:
         raise ValueError("eta must be positive")
@@ -133,7 +142,11 @@ def build_step_approximation(t: float, eta: float, radius: float) -> StepApproxi
         coefficients = np.array([1.0 + 0.0j])
     else:
         width_max = eta / (abs(t) + 1.0)
-        n_cells = max(1, int(math.ceil(2.0 * radius / width_max)))
+        cells = 2.0 * radius / width_max  # may be inf; checked before int()
+        if cells > _MAX_STEP_CELLS:
+            raise ConfigInvalid(f"step approximation at t={t!r}, eta={eta!r}, radius "
+                                f"{radius!r} needs {cells:.3g} cells, over 2^30 bytes")
+        n_cells = max(1, int(math.ceil(cells)))
         breakpoints = np.linspace(-radius, radius, n_cells + 1)
         mids = 0.5 * (breakpoints[:-1] + breakpoints[1:])
         coefficients = np.exp(1j * t * mids)

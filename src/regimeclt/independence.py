@@ -125,11 +125,20 @@ def _validate_lags(lags: Sequence[int], k: int) -> tuple[int, ...]:
     return lags
 
 
-def _joint_exact(pi: np.ndarray, powers: list[np.ndarray], weights: list[np.ndarray]) -> float:
+def _exact_tuple_gap(
+    model: ModelSpec, powers: list[np.ndarray], events: Sequence[RectEvent]
+) -> float:
+    """|P(joint) - product of marginals| of one event tuple, stationary law.
+
+    powers[r] is P^lag_r, the step from event r to event r + 1.
+    """
+    pi = model.stationary()
+    weights = [ev.weights(model) for ev in events]
     v = pi * weights[0]
     for w, pt in zip(weights[1:], powers):
         v = (v @ pt) * w
-    return float(v.sum())
+    product = float(np.prod([pi @ w for w in weights]))
+    return abs(float(v.sum()) - product)
 
 
 def conditional_gap_matrix(
@@ -223,69 +232,23 @@ def joint_product_gap(
     if method == "exact":
         if k > MAX_EXACT_EVENTS:
             raise TooManyEventsForExact(f"exact evaluation supports at most {MAX_EXACT_EVENTS} events")
-        pi = model.stationary()
         powers = [np.linalg.matrix_power(model.chain.p, t) for t in lags]
-        weights = [ev.weights(model) for ev in events]
-        joint = _joint_exact(pi, powers, weights)
-        product = float(np.prod([pi @ w for w in weights]))
-        return GapReport(
-            gap_estimate=abs(joint - product),
-            std_error=0.0,
-            theoretical_bound=bound,
-            method="exact",
-            lags=lags,
-            k=k,
-        )
-    if method != "mc":
+        gap, std_error = _exact_tuple_gap(model, powers, events), 0.0
+    elif method == "mc":
+        if seed is None:
+            raise ValueError("Monte Carlo evaluation requires a seed")
+        gaps, std_errors = _mc_tuple_gaps(model, [events], lags, replicates, seed)
+        gap, std_error = float(gaps[0]), float(std_errors[0])
+    else:
         raise ValueError("method must be 'exact' or 'mc'")
-    if seed is None:
-        raise ValueError("Monte Carlo evaluation requires a seed")
-    joint_hat, marg_hat, n_rep = _mc_event_rates(model, events, lags, replicates, seed)
-    product = float(np.prod(marg_hat))
-    gap = abs(joint_hat - product)
-    se_joint = math.sqrt(max(joint_hat * (1.0 - joint_hat), 0.0) / n_rep)
-    se_prod_sq = 0.0
-    for r, m in enumerate(marg_hat):
-        partial = product / m if m > 0 else 0.0
-        se_prod_sq += partial * partial * m * (1.0 - m) / n_rep
-    std_error = math.sqrt(se_joint**2 + se_prod_sq)
     return GapReport(
         gap_estimate=gap,
         std_error=std_error,
         theoretical_bound=bound,
-        method="mc",
+        method=method,
         lags=lags,
         k=k,
     )
-
-
-def _event_times(lags: tuple[int, ...]) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(lags)])
-
-
-def _mc_event_rates(
-    model: ModelSpec,
-    events: Sequence[RectEvent],
-    lags: tuple[int, ...],
-    replicates: int,
-    seed: SeedSpec,
-) -> tuple[float, np.ndarray, int]:
-    """Joint and marginal hit rates from a common replicate set."""
-    t_idx = _event_times(lags)
-    n = int(t_idx[-1]) + 1
-    stationary_model = model.stationary_start()
-    joint_hits = 0
-    marg_hits = np.zeros(len(events), dtype=np.int64)
-    for start, states, obs in iter_path_chunks(stationary_model, n, replicates, seed):
-        sub_states = states[:, t_idx]
-        sub_obs = obs[:, t_idx]
-        ind = np.stack(
-            [ev.indicator(sub_states[:, r], sub_obs[:, r]) for r, ev in enumerate(events)],
-            axis=1,
-        )
-        marg_hits += ind.sum(axis=0)
-        joint_hits += int(ind.all(axis=1).sum())
-    return joint_hits / replicates, marg_hits / replicates, replicates
 
 
 def chained_gap_bound(profile: MixingProfile, lags: Sequence[int]) -> float:
@@ -317,7 +280,7 @@ def default_event_family(
     reproducible.
     """
     events: list[RectEvent] = []
-    thresholds = [mixture_quantile(model, q) for q in quantile_levels]
+    thresholds = mixture_quantile(model, quantile_levels).tolist()
     for j in range(1, model.n_states + 1):
         for thr in thresholds:
             events.append(RectEvent(frozenset({j}), -math.inf, thr))
@@ -339,7 +302,8 @@ def observable_event_family(
     """
     all_states = frozenset(range(1, model.n_states + 1))
     events = [
-        RectEvent(all_states, -math.inf, mixture_quantile(model, q)) for q in quantile_levels
+        RectEvent(all_states, -math.inf, thr)
+        for thr in mixture_quantile(model, quantile_levels).tolist()
     ]
     events.append(RectEvent(all_states))
     return tuple(events)
@@ -388,22 +352,19 @@ def epsilon_certificate(
         family = itertools.product(base, repeat=k)
 
     if method == "exact":
-        pi = model.stationary()
         powers = [np.linalg.matrix_power(model.chain.p, t) for t in lags]
         best = 0.0
         for events in family:
             if len(events) != k:
                 raise ValueError(f"every event tuple must have {k} entries")
-            weights = [ev.weights(model) for ev in events]
-            joint = _joint_exact(pi, powers, weights)
-            product = float(np.prod([pi @ w for w in weights]))
-            best = max(best, abs(joint - product))
+            best = max(best, _exact_tuple_gap(model, powers, events))
         return best
     if method != "mc":
         raise ValueError("method must be 'exact' or 'mc'")
     if seed is None:
         raise ValueError("Monte Carlo evaluation requires a seed")
-    return _epsilon_mc(model, list(family), lags, replicates, seed)
+    gaps, std_errors = _mc_tuple_gaps(model, list(family), lags, replicates, seed)
+    return float(np.max(gaps + 3.0 * std_errors))
 
 
 def _epsilon_exact_product_family(
@@ -482,59 +443,48 @@ def _undominated(w: NDArray[np.float64]) -> NDArray[np.float64]:
     return w[keep]
 
 
-def _epsilon_mc(
+def _mc_tuple_gaps(
     model: ModelSpec,
-    family: list[Sequence[RectEvent]],
+    family: Sequence[Sequence[RectEvent]],
     lags: tuple[int, ...],
     replicates: int,
     seed: SeedSpec,
-) -> float:
-    k = len(lags) + 1
-    t_idx = _event_times(lags)
-    n = int(t_idx[-1]) + 1
-    stationary_model = model.stationary_start()
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Monte Carlo gap and standard error of every tuple in the family.
 
-    # Distinct events appearing at each position, evaluated once per chunk.
-    position_events: list[list[RectEvent]] = [[] for _ in range(k)]
-    tuple_idx = np.empty((len(family), k), dtype=np.int64)
-    for fi, events in enumerate(family):
-        if len(events) != k:
-            raise ValueError(f"every event tuple must have {k} entries")
-        for r, ev in enumerate(events):
-            try:
-                idx = position_events[r].index(ev)
-            except ValueError:
-                idx = len(position_events[r])
-                position_events[r].append(ev)
-            tuple_idx[fi, r] = idx
+    All tuples share one set of stationary replicate paths, and each
+    distinct event at each position is evaluated once per chunk. The error
+    is the binomial standard error of the joint rate combined in quadrature
+    with the delta-method error of the product of marginal rates.
+    """
+    k = len(lags) + 1
+    if any(len(events) != k for events in family):
+        raise ValueError(f"every event tuple must have {k} entries")
+    t_idx = np.concatenate([[0], np.cumsum(lags)])
+    slots: list[dict[RectEvent, int]] = [{} for _ in range(k)]  # distinct events per position
+    tuple_idx = np.array(
+        [[slots[r].setdefault(ev, len(slots[r])) for r, ev in enumerate(events)]
+         for events in family],
+        dtype=np.int64,
+    ).reshape(len(family), k)
 
     joint_hits = np.zeros(len(family), dtype=np.int64)
-    marg_hits = [np.zeros(len(evs), dtype=np.int64) for evs in position_events]
-    for start, states, obs in iter_path_chunks(stationary_model, n, replicates, seed):
-        ind_by_pos = []
-        for r, evs in enumerate(position_events):
-            col_s = states[:, t_idx[r]]
-            col_x = obs[:, t_idx[r]]
-            ind = np.stack([ev.indicator(col_s, col_x) for ev in evs], axis=1)
+    marg_hits = [np.zeros(len(events), dtype=np.int64) for events in slots]
+    stationary = model.stationary_start()
+    for _start, states, obs in iter_path_chunks(stationary, int(t_idx[-1]) + 1, replicates, seed):
+        joint = True
+        for r, events in enumerate(slots):
+            cols = states[:, t_idx[r]], obs[:, t_idx[r]]
+            ind = np.stack([ev.indicator(*cols) for ev in events], axis=1)
             marg_hits[r] += ind.sum(axis=0)
-            ind_by_pos.append(ind)
-        joint = ind_by_pos[0][:, tuple_idx[:, 0]]
-        for r in range(1, k):
-            joint = joint & ind_by_pos[r][:, tuple_idx[:, r]]
+            joint = joint & ind[:, tuple_idx[:, r]]
         joint_hits += joint.sum(axis=0)
 
-    best = 0.0
-    for fi in range(len(family)):
-        j_hat = joint_hits[fi] / replicates
-        margs = np.array(
-            [marg_hits[r][tuple_idx[fi, r]] / replicates for r in range(k)]
-        )
-        product = float(np.prod(margs))
-        se_joint_sq = max(j_hat * (1.0 - j_hat), 0.0) / replicates
-        se_prod_sq = 0.0
-        for m in margs:
-            partial = product / m if m > 0 else 0.0
-            se_prod_sq += partial * partial * m * (1.0 - m) / replicates
-        se = math.sqrt(se_joint_sq + se_prod_sq)
-        best = max(best, abs(j_hat - product) + 3.0 * se)
-    return best
+    joint_rate = joint_hits / replicates
+    margs = np.stack([marg_hits[r][tuple_idx[:, r]] for r in range(k)], axis=1) / replicates
+    product = margs.prod(axis=1)
+    # d product / d m_r = product / m_r; a rate of 0 adds no error.
+    partial = np.divide(product[:, None], margs, out=np.zeros_like(margs), where=margs > 0.0)
+    variance = joint_rate * (1.0 - joint_rate)
+    variance += (partial * partial * margs * (1.0 - margs)).sum(axis=1)
+    return np.abs(joint_rate - product), np.sqrt(variance / replicates)

@@ -110,6 +110,13 @@ def _normalize_params(experiment: str, params: Mapping) -> dict:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigInvalid(f"parameter {key!r}: {exc}") from exc
+    if merged.get("eta", 1.0) <= 0.0:
+        raise ConfigInvalid(f"parameter 'eta' must be positive, got {merged['eta']!r}")
+    if not all(0.0 < q < 1.0 for q in merged.get("quantile_levels", ())):
+        raise ConfigInvalid(
+            f"parameter 'quantile_levels' must lie strictly between 0 and 1, "
+            f"got {merged['quantile_levels']!r}"
+        )
     return merged
 
 
@@ -338,6 +345,9 @@ def _experiment_cf_gap(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
     params = scenario.params
     lags = params["lags"]
     scale = scenario.bound_scale
+    # Built first so that a refused step approximation costs no sampling.
+    radius = truncation_radius(model, params["eta"])
+    approximations = [build_step_approximation(t, params["eta"], radius) for t in params["t_grid"]]
     # The certificate family must keep the regime-aware rectangles: with
     # observation-only rectangles the exact gap can exceed 2 eps (the
     # two-point gap is pi_1 pi_2 alpha^tau |phi_1 - phi_2|^2, which beats
@@ -357,9 +367,7 @@ def _experiment_cf_gap(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
         # 4 SE is part of the stated envelope, not extra noise allowance.
         _check(rows, violations, "cf_gap", f"t={float(t)!r}", float(gap), float(se),
                scale * (2.0 * eps + 4.0 * float(se)), se_slack=0.0)
-    radius = truncation_radius(model, params["eta"])
-    for t in params["t_grid"]:
-        approx = build_step_approximation(t, params["eta"], radius)
+    for t, approx in zip(params["t_grid"], approximations):
         _check(rows, violations, "step", f"t={t!r} cells={approx.n_cells}",
                approx.sup_error, None, scale * params["eta"])
     results = {

@@ -268,6 +268,34 @@ def remainder_diagnostic_mc(model, decomposition, replicates: int = 400, seed=No
     )
 
 
+def joint_product_gap_mc_loop(model, events, lags, replicates: int, seed) -> tuple[float, float]:
+    """Monte Carlo |joint - product| gap and its standard error, one tuple.
+
+    Hit counts come from the stationary paths of iter_path_chunks; the error
+    adds the joint rate's binomial variance to the delta-method variance of
+    the product, one marginal at a time.
+    """
+    t_idx = np.concatenate([[0], np.cumsum(lags)])
+    joint_hits = 0
+    marg_hits = np.zeros(len(events), dtype=np.int64)
+    for _start, states, obs in iter_path_chunks(
+        model.stationary_start(), int(t_idx[-1]) + 1, replicates, seed
+    ):
+        ind = np.stack(
+            [ev.indicator(states[:, t], obs[:, t]) for ev, t in zip(events, t_idx)], axis=1
+        )
+        marg_hits += ind.sum(axis=0)
+        joint_hits += int(ind.all(axis=1).sum())
+    joint = joint_hits / replicates
+    margs = marg_hits / replicates
+    product = float(np.prod(margs))
+    var = joint * (1.0 - joint) / replicates
+    for m in margs:
+        partial = product / m if m > 0 else 0.0
+        var += partial * partial * m * (1.0 - m) / replicates
+    return abs(joint - product), math.sqrt(var)
+
+
 def ks_distance_sorted(values: np.ndarray, cdf) -> float:
     """One-sample KS statistic against a supplied cdf, textbook formula."""
     y = np.sort(np.asarray(values, dtype=np.float64))

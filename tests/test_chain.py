@@ -31,6 +31,16 @@ class TestTransitionMatrix:
         obj = json.loads(text)
         assert obj["n_states"] == 2
 
+    def test_equality_and_hash_by_value(self, bench_chain):
+        same = TransitionMatrix(bench_chain.p.tolist())
+        assert same == bench_chain and hash(same) == hash(bench_chain)
+        assert same != TransitionMatrix(np.array([[0.8, 0.2], [0.2, 0.8]]))
+        assert same != TransitionMatrix(np.eye(3))
+        # -0.0 and 0.0 are equal entries, so they must hash equal too.
+        signed = TransitionMatrix(np.array([[-0.0, 1.0], [1.0, 0.0]]))
+        plain = TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert signed == plain and hash(signed) == hash(plain)
+
     def test_entries_read_only(self, bench_chain):
         with pytest.raises(ValueError):
             bench_chain.p[0, 0] = 0.0

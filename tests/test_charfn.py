@@ -1,6 +1,7 @@
 """Tests for empirical characteristic functions and the factorization gap."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from regimeclt.charfn import (
     ecf,
     truncation_radius,
 )
+from regimeclt.errors import ConfigInvalid
 from regimeclt.independence import epsilon_certificate
 from regimeclt.process import mixture_cdf, mixture_mean, mixture_variance
 from regimeclt.seeds import SeedSpec
@@ -83,6 +85,20 @@ class TestStepApproximation:
             build_step_approximation(1.0, 0.1, -1.0)
         with pytest.raises(ValueError):
             build_step_approximation(1.0, 0.1, math.inf)
+
+    def test_memory_preflight(self, bench_model):
+        # eta = 1e-12 asks for about 4e18 cells on the benchmark radius.
+        eta = 1e-12
+        radius = truncation_radius(bench_model, eta)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigInvalid, match="cells"):
+                build_step_approximation(0.5, eta, radius)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert build_step_approximation(1.0, 1e-3, 10.0).n_cells == 40_000
 
     def test_record_validation(self):
         bp = np.array([0.0, 1.0, 0.5])

@@ -250,6 +250,29 @@ class TestJointProductGap:
         )
         assert abs(mc.gap_estimate - exact.gap_estimate) <= 4 * mc.std_error
 
+    @pytest.mark.parametrize(
+        "events,lags",
+        [
+            ([STATE1, STATE2], (2,)),
+            ([STATE1, RectEvent(frozenset({2}), -math.inf, 0.5), FULL], (3, 2)),
+            ([RectEvent(frozenset({1, 2}), -0.5, 1.0)] * 3, (1, 4)),
+        ],
+    )
+    def test_mc_gap_is_one_tuple_certificate_less_three_se(self, bench_model, events, lags):
+        seed = SeedSpec(1234, 5)
+        rep = joint_product_gap(
+            bench_model, events, lags, method="mc", replicates=8_000, seed=seed
+        )
+        cert = epsilon_certificate(
+            bench_model, lags, family=[events], method="mc", replicates=8_000, seed=seed
+        )
+        assert rep.std_error > 0.0
+        assert cert == rep.gap_estimate + 3.0 * rep.std_error
+        # The vectorised error sums in another order than the loop oracle.
+        gap, se = oracles.joint_product_gap_mc_loop(bench_model, events, lags, 8_000, seed)
+        assert rep.gap_estimate == pytest.approx(gap, rel=1e-12, abs=1e-15)
+        assert rep.std_error == pytest.approx(se, rel=1e-12)
+
     def test_mc_deterministic_in_seed(self, bench_model):
         events = [STATE1, STATE2]
         a = joint_product_gap(

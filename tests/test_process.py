@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -70,11 +73,27 @@ class TestEmissions:
             lambda: Uniform(2.0, -2.0),
             lambda: ShiftedExponential(0.0, 0.0),
             lambda: ShiftedExponential(-1.0, 0.0),
+            # Finite parameters whose variance or squared mean leaves float
+            # range: the closed-form check in EmissionSpec refuses them.
+            lambda: EmissionSpec((ShiftedExponential(1e-320),)),
+            lambda: EmissionSpec((ShiftedExponential(1e-200),)),
+            lambda: EmissionSpec((ShiftedExponential(1e308),)),
+            lambda: EmissionSpec((Uniform(-1e308, 1e308),)),
+            lambda: EmissionSpec((Uniform(0.0, 1e-320),)),
+            lambda: EmissionSpec((Gaussian(0.0, 1e-320),)),
+            lambda: EmissionSpec((Gaussian(0.0, 1e170),)),
+            lambda: EmissionSpec((Gaussian(1e200, 1.0),)),
         ],
     )
     def test_invalid_parameters_rejected(self, bad):
         with pytest.raises(InvalidModel):
             bad()
+
+    def test_small_positive_variance_accepted(self):
+        # sigma^2 = 1e-320 is subnormal but positive; a grid quadrature of
+        # this density cannot resolve it, the closed form can.
+        emissions = EmissionSpec((Gaussian(0.0, 1e-160), Uniform(-1.0, 1.0)))
+        assert emissions.variances()[0] > 0.0
 
     @pytest.mark.parametrize(
         "comp",
@@ -125,6 +144,16 @@ class TestModelSpec:
         for model in (bench_model, uniform_model):
             again = ModelSpec.from_json(model.to_json())
             assert again.to_json_dict() == model.to_json_dict()
+
+    def test_equal_by_value_and_hash_equal(self, bench_model):
+        a = ModelSpec.from_json(bench_model.to_json())
+        b = ModelSpec.from_json(bench_model.to_json())
+        assert a.chain is not b.chain
+        assert a == b and hash(a) == hash(b)
+        a.stationary()  # the cache is not a field
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != dataclasses.replace(b, initial=1)
 
     def test_from_json_dict_rejects_garbage(self, bench_model):
         obj = bench_model.to_json_dict()
@@ -318,6 +347,36 @@ class TestMixtureSummaries:
             lo, hi = comp.effective_support()
             expected += weight * oracles.abs_third_moment_quad(comp.pdf, lo, hi, center)
         assert mixture_abs_third_moment(bench_model) == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("family", ["gaussian", "uniform", "shifted_exponential"])
+    def test_quantile_array_matches_scalar_calls(self, family, bench_chain):
+        comps = {
+            "gaussian": (Gaussian(-1.0, 0.5), Gaussian(2.0, 1.5)),
+            "uniform": (Uniform(-1.0, 0.5), Uniform(-0.5, 3.0)),
+            "shifted_exponential": (ShiftedExponential(2.0, -1.0), ShiftedExponential(0.4, 0.5)),
+        }[family]
+        model = ModelSpec(bench_chain, EmissionSpec(comps))
+        levels = np.array([1e-6, 0.01, 0.1, 0.25, 0.5, 0.5, 0.75, 0.9, 0.99, 1.0 - 1e-6])
+        xs = mixture_quantile(model, levels)
+        assert xs.shape == levels.shape
+        for q, x in zip(levels, xs):
+            scalar = mixture_quantile(model, float(q))
+            assert isinstance(scalar, float)
+            assert scalar == x  # bit for bit
+        np.testing.assert_allclose(mixture_cdf(model, xs), levels, rtol=0.0, atol=1e-12)
+        with pytest.raises(ValueError):
+            mixture_quantile(model, [0.5, 1.0])
+
+    def test_import_leaves_out_integrate_and_optimize(self):
+        code = (
+            "import sys, regimeclt; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_quantile_round_trip(self, bench_model, uniform_model):
         for model in (bench_model, uniform_model):

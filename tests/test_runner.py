@@ -119,6 +119,9 @@ class TestScenarioValidation:
             ("cf_gap", {"eta": float("nan")}),
             ("cf_gap", {"t_grid": 1.0}),
             ("clt", {"replicates": True}),
+            ("cf_gap", {"eta": 0.0}),
+            ("cf_gap", {"quantile_levels": [0.0]}),
+            ("independence", {"quantile_levels": [0.5, 1.5]}),
         ],
     )
     def test_bad_param_values(self, experiment, params):
@@ -330,6 +333,25 @@ class TestRunScenario:
         assert err["error"] == "config-invalid"
         assert "k=2" in err["message"]
 
+    @pytest.mark.parametrize(
+        "emission,eta",
+        [({"family": "gaussian", "mu": 1e15, "sigma": 1.0}, 0.05),
+         ({"family": "gaussian", "mu": 1.0, "sigma": 1.0}, 1e-12)],
+        ids=["mu=1e15", "eta=1e-12"],
+    )
+    def test_cf_gap_step_preflight_refuses_before_sampling(self, tmp_path, monkeypatch,
+                                                           emission, eta):
+        import regimeclt.runner as runner_mod
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the step approximation was checked")
+
+        monkeypatch.setattr(runner_mod, "cf_factorization_gap", no_sampling)
+        obj = scenario_dict(experiment="cf_gap", params={"eta": eta, "replicates": 2000})
+        obj["model"]["emissions"] = [obj["model"]["emissions"][0], emission]
+        with pytest.raises(ConfigInvalid, match="step approximation"):
+            run_scenario(Scenario.from_json_dict(obj), tmp_path)
+
     def test_clt_n_grid_length_keeps_streams_disjoint(self, tmp_path):
         params = dict(FAST_CLT_PARAMS, n_grid=list(range(64, 64 + MAX_CLT_N_GRID + 1)))
         s = Scenario.from_json_dict(scenario_dict(experiment="clt", params=params))
@@ -456,6 +478,18 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken", encoding="utf-8")
         code = cli.main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-invalid"
+
+    def test_run_degenerate_emission_is_config_error(self, tmp_path, capsys):
+        # 1 / rate^2 overflows float range, so the variance is not finite.
+        obj = scenario_dict(experiment="clt", params=FAST_CLT_PARAMS)
+        obj["model"]["emissions"] = [
+            obj["model"]["emissions"][0], {"family": "shifted_exponential", "rate": 1e-320}
+        ]
+        path = write_scenario(tmp_path / "s.json", obj)
+        code = cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")])
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config-invalid"
