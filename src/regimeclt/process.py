@@ -22,7 +22,6 @@ import csv
 import dataclasses
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -38,6 +37,9 @@ from .seeds import REPLICATE_BLOCK, SeedSpec
 # bracket narrower than 1e18.
 _QUANTILE_HALVINGS = 100
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# _walk buckets the transition uniforms in slabs of about this many elements,
+# so its scratch stays near 2 MiB whatever the (paths, steps) shape.
+_WALK_SLAB_ELEMENTS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +434,49 @@ def _cumulative_rows(chain: TransitionMatrix) -> NDArray[np.float64]:
     return cum
 
 
+def _walk(
+    cum: NDArray[np.float64], s0: NDArray[np.int64], u_steps: NDArray[np.float64]
+) -> NDArray[np.int16]:
+    """Walk the chain from the 0-based start regimes s0 under u_steps.
+
+    u_steps is (paths, n): step t of path i moves regime j to #{k : cum[j, k]
+    <= u_steps[i, t]}. That count depends on u only through its bucket, the
+    number of thresholds = unique(cum) at or below u, so one next-regime
+    table of (buckets, N) <= (N^2 + 1, N) entries, built per call, replaces
+    the comparison. Each slab of about _WALK_SLAB_ELEMENTS uniforms is
+    bucketed by one searchsorted, and each step is then one take from the
+    table. Nothing is drawn here, so the draw order is the callers'. Returns
+    the (paths, n) 0-based regimes.
+    """
+    n_states = cum.shape[0]
+    thresholds = np.unique(cum)
+    # Sorting a row does not change how many of its entries lie at or below
+    # a value, so searchsorted counts them. Bucket 0 (u below every
+    # threshold) moves every regime to 0.
+    lower = np.concatenate(([-np.inf], thresholds))
+    table = np.stack([np.searchsorted(row, lower, side="right") for row in np.sort(cum, axis=1)],
+                     axis=1).ravel()
+    size, n = u_steps.shape
+    states = np.empty((size, n), dtype=np.int16)
+    s = s0
+    slab_steps = max(1, _WALK_SLAB_ELEMENTS // size)
+    for t0 in range(0, n, slab_steps):
+        rows = np.searchsorted(thresholds, u_steps[:, t0 : t0 + slab_steps].T, side="right")
+        rows *= n_states
+        for t, row in enumerate(rows, start=t0):
+            s = table.take(row + s)
+            states[:, t] = s
+    return states
+
+
 def sample_path(model: ModelSpec, n: int, seed: SeedSpec) -> PathSample:
     """Simulate n steps of the hidden chain and its emissions.
 
     The generator is consumed in a fixed order (initial draw if the initial
     law is random, then n state uniforms, then n observation uniforms), so a
-    given (model, n, seed) reproduces the path bit for bit.
+    given (model, n, seed) reproduces the path bit for bit. The regimes come
+    from _walk, the walk iter_path_chunks uses; it draws nothing, so the
+    order above is the whole of the stream layout.
     """
     if n < 1:
         raise InvalidModel("path length must be >= 1")
@@ -451,18 +490,7 @@ def sample_path(model: ModelSpec, n: int, seed: SeedSpec) -> PathSample:
         state0 = int(np.searchsorted(cum_init, rng.random(), side="right"))
     u_state = rng.random(n)
     u_obs = rng.random(n)
-
-    cum = _cumulative_rows(model.chain)
-    cum_lists = [row.tolist() for row in cum]
-    n_states = model.n_states
-    states0 = np.empty(n, dtype=np.int64)
-    current = state0
-    u_list = u_state.tolist()
-    for t in range(n):
-        current = bisect_right(cum_lists[current], u_list[t])
-        if current >= n_states:
-            current = n_states - 1
-        states0[t] = current
+    states0 = _walk(_cumulative_rows(model.chain), np.array([state0]), u_state[None, :])[0]
     observations = model.emissions.ppf_by_state(states0, u_obs)
     return PathSample(states=states0 + 1, observations=observations, seed=seed)
 
@@ -481,7 +509,9 @@ def iter_path_chunks(
     REPLICATE_BLOCK), after the r % REPLICATE_BLOCK replicates before it in
     that block. The output is therefore independent of chunking, and the
     first m replicates are the same for every n_paths >= m. states chunks are
-    (chunk, n) 1-based int16, obs chunks (chunk, n) float64.
+    (chunk, n) 1-based int16, obs chunks (chunk, n) float64. The regimes of a
+    chunk come from _walk, which only buckets the drawn transition uniforms,
+    so the layout above is the whole of the draw order.
     """
     if n < 1 or n_paths < 1:
         raise InvalidModel("n and n_paths must be >= 1")
@@ -511,13 +541,10 @@ def iter_path_chunks(
             rng.random(out=u[row : row + take])
             row += take
         if fixed_initial:
-            s = np.full(size, state0, dtype=np.int64)
+            s0 = np.full(size, state0, dtype=np.int64)
         else:
-            s = np.searchsorted(cum_init, u[:, 0], side="right")
-        states = np.empty((size, n), dtype=np.int16)
-        for t in range(n):
-            s = (cum[s] <= u[:, 1 + t][:, None]).sum(axis=1)
-            states[:, t] = s
+            s0 = np.searchsorted(cum_init, u[:, 0], side="right")
+        states = _walk(cum, s0, u[:, 1 : n + 1])
         obs = model.emissions.ppf_by_state(states, u[:, n + 1 :])
         yield start, states + np.int16(1), obs
         start += size

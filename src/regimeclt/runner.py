@@ -112,6 +112,8 @@ def _normalize_params(experiment: str, params: Mapping) -> dict:
             raise ConfigInvalid(f"parameter {key!r}: {exc}") from exc
     if merged.get("eta", 1.0) <= 0.0:
         raise ConfigInvalid(f"parameter 'eta' must be positive, got {merged['eta']!r}")
+    if any(v < 0.0 for v in merged.get("eta_grid", ())):
+        raise ConfigInvalid(f"parameter 'eta_grid' entries must be >= 0, got {merged['eta_grid']!r}")
     if not all(0.0 < q < 1.0 for q in merged.get("quantile_levels", ())):
         raise ConfigInvalid(
             f"parameter 'quantile_levels' must lie strictly between 0 and 1, "
@@ -403,6 +405,16 @@ def _experiment_clt(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
         d = decompose(n_max, params["alpha_exp"], params["m"])
     except (GapExceedsBlock, ValueError) as exc:
         raise ConfigInvalid(f"block decomposition of n={n_max}: {exc}") from exc
+    # The remainder is exact, so its p^2 R^2 / n envelope is checked before
+    # any path is sampled: an emission scale that overflows R is refused.
+    try:
+        rem = remainder_diagnostic(model, d)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConfigInvalid(f"third absolute moment R of the emissions leaves float range: "
+                            f"{exc}") from exc
+    if not math.isfinite(rem.bound):
+        raise ConfigInvalid(f"remainder envelope p^2 R^2 / n at n={n_max} is not finite "
+                            f"(R = {rem.abs_third_moment!r})")
     report = clt_convergence(
         model,
         params["n_grid"],
@@ -425,7 +437,6 @@ def _experiment_clt(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
             _check(rows, violations, "lindeberg", f"n={n} eta={eta!r}",
                    float(report.lindeberg_values[i, j]), None, None)
 
-    rem = remainder_diagnostic(model, d)
     # p^2 R^2 / n dominates the remainder second moment only when R >= 1.
     rem_bound = scale * rem.bound if rem.abs_third_moment >= 1.0 else None
     _check(rows, violations, "remainder", f"n={n_max} k={d.k} m={d.m}",

@@ -8,12 +8,14 @@ meaningful.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, stats
 
 from regimeclt.process import iter_path_chunks, mixture_abs_third_moment, mixture_mean
+from regimeclt.seeds import REPLICATE_BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +125,78 @@ def filter_by_enumeration(
     if total <= 0.0:
         raise ZeroDivisionError("zero likelihood in oracle filter")
     return probs / total
+
+
+# ---------------------------------------------------------------------------
+# path sampling
+# ---------------------------------------------------------------------------
+
+
+def _cumulative_rows(p: np.ndarray) -> np.ndarray:
+    cum = np.cumsum(p, axis=1)
+    cum[:, -1] = 1.0
+    return cum
+
+
+def _initial_states(model, u0: np.ndarray) -> np.ndarray:
+    if isinstance(model.initial, int):
+        return np.full(u0.shape, model.initial - 1, dtype=np.int64)
+    cum_init = np.cumsum(model.initial_distribution())
+    cum_init[-1] = 1.0
+    return np.searchsorted(cum_init, u0, side="right")
+
+
+def _observations(model, states0: np.ndarray, u_obs: np.ndarray) -> np.ndarray:
+    """Inverse-CDF emissions, each regime's uniforms transformed together."""
+    obs = np.empty(states0.shape)
+    for j, comp in enumerate(model.emissions.components):
+        mask = states0 == j
+        obs[mask] = comp.ppf(u_obs[mask])
+    return obs
+
+
+def walk_loop(cum: np.ndarray, s0: np.ndarray, u_steps: np.ndarray) -> np.ndarray:
+    """0-based regime paths, one step at a time: the next regime from j under
+    u is the number of entries of cum[j] at or below u."""
+    s = np.asarray(s0, dtype=np.int64)
+    states = np.empty(u_steps.shape, dtype=np.int16)
+    for t in range(u_steps.shape[1]):
+        s = (cum[s] <= u_steps[:, t][:, None]).sum(axis=1)
+        states[:, t] = s
+    return states
+
+
+def path_chunks_loop(model, n: int, n_paths: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """All n_paths replicates of iter_path_chunks as (1-based states, obs).
+
+    Each block's uniforms are drawn in one call, one row of 2n + 1 per
+    replicate (initial regime, n transitions, n observations), and walked
+    with walk_loop.
+    """
+    u = np.concatenate([
+        seed.block_rng(b).random((min(REPLICATE_BLOCK, n_paths - b * REPLICATE_BLOCK), 2 * n + 1))
+        for b in range(-(-n_paths // REPLICATE_BLOCK))
+    ])
+    states = walk_loop(_cumulative_rows(model.chain.p), _initial_states(model, u[:, 0]), u[:, 1 : n + 1])
+    return states + 1, _observations(model, states, u[:, n + 1 :])
+
+
+def sample_path_bisect(model, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """One path as sample_path draws it, (1-based states, obs), with the
+    regimes found by bisecting each cumulative row in a Python loop."""
+    rng = seed.rng()
+    if isinstance(model.initial, int):
+        state = model.initial - 1
+    else:
+        state = int(_initial_states(model, np.array([rng.random()]))[0])
+    u_state = rng.random(n).tolist()
+    u_obs = rng.random(n)
+    cum_lists = [row.tolist() for row in _cumulative_rows(model.chain.p)]
+    states = np.empty(n, dtype=np.int64)
+    for t in range(n):
+        state = bisect_right(cum_lists[state], u_state[t])
+        states[t] = state
+    return states + 1, _observations(model, states, u_obs)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from regimeclt import process
+from regimeclt.chain import TransitionMatrix
 from regimeclt.errors import InvalidModel, ZeroLikelihood
 from regimeclt.process import (
     EmissionSpec,
@@ -162,6 +168,41 @@ class TestModelSpec:
             ModelSpec.from_json_dict(obj)
 
 
+# Exact zeros and repeated cumulative values: rows 1 and 3 are [0, 1, 0].
+_ZERO_ROWS = TransitionMatrix(np.array([[0.0, 1.0, 0.0], [1 / 3, 1 / 3, 1 / 3], [0.0, 1.0, 0.0]]))
+_ZERO_EMISSIONS = EmissionSpec((Gaussian(-1.0, 1.0), Uniform(0.0, 2.0), ShiftedExponential(1.0, 1.0)))
+ZERO_ROW_MODELS = [ModelSpec(_ZERO_ROWS, _ZERO_EMISSIONS, initial)
+                   for initial in ("stationary", 3, (0.5, 0.0, 0.5))]
+
+
+@st.composite
+def walk_models(draw):
+    """Models of 1 to 8 regimes whose rows have exact zeros and repeated
+    cumulative values, under a stationary, fixed or explicit initial law."""
+    n_states = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.integers(0, 3), min_size=n_states**2, max_size=n_states**2))
+    w = np.array(weights, dtype=np.float64).reshape(n_states, n_states)
+    # A cycle through every regime plus one self-loop make the chain ergodic,
+    # so the stationary law exists; every other entry may be zero.
+    idx = np.arange(n_states)
+    w[idx, (idx + 1) % n_states] += 1.0
+    w[0, 0] += 1.0
+    chain = TransitionMatrix(w / w.sum(axis=1, keepdims=True))
+    kind = draw(st.sampled_from(["stationary", "fixed", "vector"]))
+    if kind == "fixed":
+        initial = draw(st.integers(1, n_states))
+    elif kind == "vector":
+        v = np.array(draw(st.lists(st.integers(0, 3), min_size=n_states, max_size=n_states)),
+                     dtype=np.float64)
+        v[draw(st.integers(0, n_states - 1))] += 1.0
+        initial = tuple(v / v.sum())
+    else:
+        initial = "stationary"
+    emissions = EmissionSpec(tuple(Gaussian(float(j), 1.0) if j % 2 else Uniform(float(j), j + 1.0)
+                                   for j in range(n_states)))
+    return ModelSpec(chain, emissions, initial)
+
+
 class TestSamplePath:
     def test_deterministic_in_seed(self, bench_model):
         a = sample_path(bench_model, 500, SeedSpec(11, 3))
@@ -206,6 +247,17 @@ class TestSamplePath:
     def test_rejects_empty_path(self, bench_model):
         with pytest.raises(InvalidModel):
             sample_path(bench_model, 0, SeedSpec(1))
+
+    @pytest.mark.parametrize("slab", [7, process._WALK_SLAB_ELEMENTS])
+    @pytest.mark.parametrize("n", [1, 17, 5000])
+    def test_matches_bisect_loop(self, bench_model, n, slab):
+        for model in [bench_model, *ZERO_ROW_MODELS]:
+            for seed in (SeedSpec(11, 3), SeedSpec(2024, 0)):
+                with mock.patch.object(process, "_WALK_SLAB_ELEMENTS", slab):
+                    path = sample_path(model, n, seed)
+                states, obs = oracles.sample_path_bisect(model, n, seed)
+                np.testing.assert_array_equal(path.states, states)
+                np.testing.assert_array_equal(path.observations, obs)
 
 
 class TestIterPathChunks:
@@ -269,6 +321,74 @@ class TestIterPathChunks:
         last = obs[:, -1]
         se = last.std(ddof=1) / np.sqrt(last.size)
         assert abs(last.mean() - mixture_mean(bench_model)) < 4 * se
+
+    @settings(max_examples=60, deadline=None)
+    @example(model=ZERO_ROW_MODELS[0], n=9, n_paths=REPLICATE_BLOCK + 5, max_elements=1000,
+             slab=7, base=3)
+    @example(model=ZERO_ROW_MODELS[1], n=1, n_paths=40, max_elements=1, slab=1, base=4)
+    @example(model=ZERO_ROW_MODELS[2], n=33, n_paths=12, max_elements=200, slab=64, base=5)
+    @given(
+        model=walk_models(),
+        n=st.integers(1, 40),
+        n_paths=st.integers(1, 60),
+        max_elements=st.integers(1, 500),
+        slab=st.sampled_from([1, 2, 7, 64, process._WALK_SLAB_ELEMENTS]),
+        base=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_walk_loop(self, model, n, n_paths, max_elements, slab, base):
+        # A small slab splits the walk over many slabs, and a small
+        # max_elements splits the replicates over many chunks.
+        seed = SeedSpec(base, 1)
+        with mock.patch.object(process, "_WALK_SLAB_ELEMENTS", slab):
+            states, obs = self._collect(model, n, n_paths, seed, max_elements=max_elements)
+        expect_states, expect_obs = oracles.path_chunks_loop(model, n, n_paths, seed)
+        np.testing.assert_array_equal(states, expect_states)
+        np.testing.assert_array_equal(obs, expect_obs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=walk_models(), size=st.integers(1, 6), n=st.integers(1, 30),
+           slab=st.sampled_from([1, 5, process._WALK_SLAB_ELEMENTS]), base=st.integers(0, 2**32 - 1))
+    def test_walk_matches_walk_loop_at_ties(self, model, size, n, slab, base):
+        # Uniforms equal to a cumulative value, or one ulp below it, decide
+        # which side of a threshold a tie falls on; random draws almost never
+        # hit them.
+        cum = np.cumsum(model.chain.p, axis=1)
+        cum[:, -1] = 1.0
+        ties = np.unique(cum[cum < 1.0])
+        values = np.concatenate(([0.0], ties, np.nextafter(ties, 0.0)))
+        rng = np.random.default_rng(base)
+        u = rng.choice(values, size=(size, n))
+        s0 = rng.integers(0, model.n_states, size=size)
+        with mock.patch.object(process, "_WALK_SLAB_ELEMENTS", slab):
+            states = process._walk(cum, s0, u)
+        np.testing.assert_array_equal(states, oracles.walk_loop(cum, s0, u))
+
+    @pytest.mark.parametrize("n,n_paths", [(4000, 150), (3, process._WALK_SLAB_ELEMENTS + 10)],
+                             ids=["long-paths", "many-paths"])
+    def test_matches_walk_loop_across_slabs(self, n, n_paths):
+        # Both shapes hold more than two slabs of transition uniforms.
+        model = ZERO_ROW_MODELS[0]
+        seed = SeedSpec(77, 4)
+        states, obs = self._collect(model, n, n_paths, seed)
+        expect_states, expect_obs = oracles.path_chunks_loop(model, n, n_paths, seed)
+        np.testing.assert_array_equal(states, expect_states)
+        np.testing.assert_array_equal(obs, expect_obs)
+
+    def test_walk_scratch_stays_within_a_few_slabs(self):
+        # The walk's memory beyond its (paths, n) int16 output is the
+        # bucketed slab, not the whole (paths, n) uniform array.
+        cum = np.cumsum([[0.98, 0.015, 0.005], [0.01, 0.98, 0.01], [0.005, 0.015, 0.98]], axis=1)
+        cum[:, -1] = 1.0
+        u = np.random.default_rng(3).random((300, 16_000))
+        s0 = np.zeros(300, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            states = process._walk(cum, s0, u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert states.shape == (300, 16_000)
+        assert peak - states.nbytes < 4 * process._WALK_SLAB_ELEMENTS * 8
 
     def test_rejects_degenerate_requests(self, bench_model):
         with pytest.raises(InvalidModel):

@@ -494,6 +494,48 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config-invalid"
 
+    def test_run_negative_eta_grid_is_config_error(self, tmp_path, capsys):
+        obj = scenario_dict(experiment="clt", params=dict(FAST_CLT_PARAMS, eta_grid=[0.5, -1.0]))
+        path = write_scenario(tmp_path / "s.json", obj)
+        code = cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-invalid"
+        assert "eta_grid" in err["message"]
+
+    @pytest.mark.parametrize(
+        "emissions",
+        [[BENCH_MODEL_JSON["emissions"][0], {"family": "gaussian", "mu": 1.0, "sigma": 1e120}],
+         [BENCH_MODEL_JSON["emissions"][0], {"family": "gaussian", "mu": 1e60, "sigma": 1.0}],
+         [BENCH_MODEL_JSON["emissions"][0], {"family": "gaussian", "mu": 1e150, "sigma": 1.0}],
+         [BENCH_MODEL_JSON["emissions"][0], {"family": "shifted_exponential", "rate": 1e-150}],
+         # The mixture mean lies below the shift, so R's 6 / rate^3 term
+         # divides by an underflowed rate^3.
+         [{"family": "shifted_exponential", "rate": 1e-150, "shift": 1e150},
+          {"family": "gaussian", "mu": -2e150, "sigma": 1.0}]],
+        ids=["sigma=1e120", "mu=1e60", "mu=1e150", "rate=1e-150", "rate=1e-150-below-shift"],
+    )
+    def test_run_clt_wide_emission_scale_refused_before_sampling(self, tmp_path, capsys,
+                                                                monkeypatch, emissions):
+        # R leaves float range (float ** overflows, or rate^3 underflows to a
+        # zero divisor), or p^2 R^2 / n is infinite (mu=1e60); each is
+        # refused before any path is drawn.
+        import regimeclt.clt as clt_mod
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the remainder envelope was checked")
+
+        monkeypatch.setattr(clt_mod, "iter_path_chunks", no_sampling)
+        monkeypatch.setattr(clt_mod, "sample_stationary_mixture", no_sampling)
+        obj = scenario_dict(experiment="clt", params=FAST_CLT_PARAMS)
+        obj["model"]["emissions"] = emissions
+        path = write_scenario(tmp_path / "s.json", obj)
+        code = cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-invalid"
+        assert "remainder envelope" in err["message"] or "third absolute moment" in err["message"]
+
     def test_run_bound_violation(self, tmp_path, capsys):
         path = write_scenario(
             tmp_path / "f.json",
