@@ -40,6 +40,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # _walk buckets the transition uniforms in slabs of about this many elements,
 # so its scratch stays near 2 MiB whatever the (paths, steps) shape.
 _WALK_SLAB_ELEMENTS = 1 << 18
+# Largest next-regime table _walk_table builds: about 2^25 int16 entries,
+# enough for any chain of up to 322 states.
+_WALK_TABLE_BYTES = 1 << 26
 
 
 # ---------------------------------------------------------------------------
@@ -434,38 +437,67 @@ def _cumulative_rows(chain: TransitionMatrix) -> NDArray[np.float64]:
     return cum
 
 
-def _walk(
-    cum: NDArray[np.float64], s0: NDArray[np.int64], u_steps: NDArray[np.float64]
-) -> NDArray[np.int16]:
-    """Walk the chain from the 0-based start regimes s0 under u_steps.
+def _walk_table(cum: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.int16]]:
+    """Thresholds and next-regime table of the walk over the rows cum.
 
-    u_steps is (paths, n): step t of path i moves regime j to #{k : cum[j, k]
-    <= u_steps[i, t]}. That count depends on u only through its bucket, the
-    number of thresholds = unique(cum) at or below u, so one next-regime
-    table of (buckets, N) <= (N^2 + 1, N) entries, built per call, replaces
-    the comparison. Each slab of about _WALK_SLAB_ELEMENTS uniforms is
-    bucketed by one searchsorted, and each step is then one take from the
-    table. Nothing is drawn here, so the draw order is the callers'. Returns
-    the (paths, n) 0-based regimes.
+    From regime j a uniform u moves to #{k : cum[j, k] <= u}. That count
+    depends on u only through its bucket b, the number of thresholds =
+    unique(cum) at or below u, so table[b, j] holds it. Bucket 0 (u below
+    every threshold) moves every regime to 0. The table has (buckets, N)
+    int16 entries, at most (N^2 + 1) N; one over _WALK_TABLE_BYTES raises
+    InvalidModel before anything is allocated.
     """
     n_states = cum.shape[0]
     thresholds = np.unique(cum)
-    # Sorting a row does not change how many of its entries lie at or below
-    # a value, so searchsorted counts them. Bucket 0 (u below every
-    # threshold) moves every regime to 0.
+    n_buckets = thresholds.size + 1
+    if n_buckets * n_states * 2 > _WALK_TABLE_BYTES:
+        raise InvalidModel(f"the regime walk of this {n_states}-state chain needs a "
+                           f"{n_buckets} x {n_states} next-regime table, over "
+                           f"{_WALK_TABLE_BYTES} bytes")
     lower = np.concatenate(([-np.inf], thresholds))
-    table = np.stack([np.searchsorted(row, lower, side="right") for row in np.sort(cum, axis=1)],
-                     axis=1).ravel()
+    table = np.empty((n_buckets, n_states), dtype=np.int16)
+    # Sorting a row does not change how many of its entries lie at or below
+    # a value, so searchsorted counts them.
+    for j, row in enumerate(np.sort(cum, axis=1)):
+        table[:, j] = np.searchsorted(row, lower, side="right")
+    return thresholds, table
+
+
+def _walk(
+    thresholds: NDArray[np.float64],
+    table: NDArray[np.int16],
+    s0: NDArray[np.int64],
+    u_steps: NDArray[np.float64],
+) -> NDArray[np.int16]:
+    """Walk the chain from the 0-based start regimes s0 under u_steps.
+
+    u_steps is (paths, n); step t of path i moves regime j to table[b, j],
+    b the bucket of u_steps[i, t] among thresholds (see _walk_table). Each
+    slab of about _WALK_SLAB_ELEMENTS uniforms is bucketed by one
+    searchsorted, and each step is then one take from the table, or one
+    memoryview lookup when there is a single path. Nothing is drawn here, so the
+    draw order is the callers'. Returns the (paths, n) 0-based regimes.
+    """
+    n_states = table.shape[1]
+    flat = table.ravel()
     size, n = u_steps.shape
     states = np.empty((size, n), dtype=np.int16)
-    s = s0
     slab_steps = max(1, _WALK_SLAB_ELEMENTS // size)
+    s = s0
     for t0 in range(0, n, slab_steps):
         rows = np.searchsorted(thresholds, u_steps[:, t0 : t0 + slab_steps].T, side="right")
         rows *= n_states
-        for t, row in enumerate(rows, start=t0):
-            s = table.take(row + s)
-            states[:, t] = s
+        if size > 1:
+            for t, row in enumerate(rows, start=t0):
+                s = flat.take(row + s)
+                states[:, t] = s
+            continue
+        # One path: a memoryview lookup per step costs less than a numpy call.
+        lookup, out = memoryview(flat), [int(s[0])]
+        for row in rows[:, 0].tolist():
+            out.append(lookup[row + out[-1]])
+        states[0, t0 : t0 + len(out) - 1] = out[1:]
+        s = out[-1:]
     return states
 
 
@@ -480,6 +512,7 @@ def sample_path(model: ModelSpec, n: int, seed: SeedSpec) -> PathSample:
     """
     if n < 1:
         raise InvalidModel("path length must be >= 1")
+    thresholds, table = _walk_table(_cumulative_rows(model.chain))
     rng = seed.rng()
     if isinstance(model.initial, int):
         state0 = model.initial - 1
@@ -490,7 +523,7 @@ def sample_path(model: ModelSpec, n: int, seed: SeedSpec) -> PathSample:
         state0 = int(np.searchsorted(cum_init, rng.random(), side="right"))
     u_state = rng.random(n)
     u_obs = rng.random(n)
-    states0 = _walk(_cumulative_rows(model.chain), np.array([state0]), u_state[None, :])[0]
+    states0 = _walk(thresholds, table, np.array([state0]), u_state[None, :])[0]
     observations = model.emissions.ppf_by_state(states0, u_obs)
     return PathSample(states=states0 + 1, observations=observations, seed=seed)
 
@@ -517,7 +550,7 @@ def iter_path_chunks(
         raise InvalidModel("n and n_paths must be >= 1")
     draws_per_rep = 2 * n + 1
     chunk_size = max(1, min(n_paths, max_elements // draws_per_rep))
-    cum = _cumulative_rows(model.chain)
+    thresholds, table = _walk_table(_cumulative_rows(model.chain))
     fixed_initial = isinstance(model.initial, int)
     if fixed_initial:
         state0 = model.initial - 1
@@ -544,7 +577,7 @@ def iter_path_chunks(
             s0 = np.full(size, state0, dtype=np.int64)
         else:
             s0 = np.searchsorted(cum_init, u[:, 0], side="right")
-        states = _walk(cum, s0, u[:, 1 : n + 1])
+        states = _walk(thresholds, table, s0, u[:, 1 : n + 1])
         obs = model.emissions.ppf_by_state(states, u[:, n + 1 :])
         yield start, states + np.int16(1), obs
         start += size

@@ -37,7 +37,7 @@ from . import __version__
 from .chain import is_ergodic, mixing_rate
 from .charfn import build_step_approximation, cf_factorization_gap, truncation_radius
 from .clt import clt_convergence, decompose, remainder_diagnostic
-from .errors import BoundViolated, ConfigInvalid, GapExceedsBlock, RegimecltError
+from .errors import BoundViolated, ConfigInvalid, GapExceedsBlock, InvalidModel, RegimecltError
 from .independence import (
     BOUND_SLACK,
     chained_gap_bound,
@@ -524,7 +524,12 @@ def run_scenario(scenario: Scenario, out_dir, threads: int = 1) -> RunResult:
     target = out_root / scenario.name
     target.mkdir(parents=True, exist_ok=True)
 
-    results, rows, violations = _PIPELINES[scenario.experiment](scenario)
+    try:
+        results, rows, violations = _PIPELINES[scenario.experiment](scenario)
+    except InvalidModel as exc:
+        # The model parsed, but this experiment cannot run it (the sampler's
+        # next-regime table would pass its cap).
+        raise ConfigInvalid(f"model cannot be run by {scenario.experiment}: {exc}") from exc
     status = 2 if violations else 0
 
     report = {

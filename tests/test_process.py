@@ -360,7 +360,7 @@ class TestIterPathChunks:
         u = rng.choice(values, size=(size, n))
         s0 = rng.integers(0, model.n_states, size=size)
         with mock.patch.object(process, "_WALK_SLAB_ELEMENTS", slab):
-            states = process._walk(cum, s0, u)
+            states = process._walk(*process._walk_table(cum), s0, u)
         np.testing.assert_array_equal(states, oracles.walk_loop(cum, s0, u))
 
     @pytest.mark.parametrize("n,n_paths", [(4000, 150), (3, process._WALK_SLAB_ELEMENTS + 10)],
@@ -383,12 +383,55 @@ class TestIterPathChunks:
         s0 = np.zeros(300, dtype=np.int64)
         tracemalloc.start()
         try:
-            states = process._walk(cum, s0, u)
+            states = process._walk(*process._walk_table(cum), s0, u)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert states.shape == (300, 16_000)
         assert peak - states.nbytes < 4 * process._WALK_SLAB_ELEMENTS * 8
+
+    def test_dense_chain_table_built_once_within_its_bytes(self):
+        # A dense 200-state chain has about 40,000 distinct cumulative
+        # values, so its (buckets, N) next-regime table is the walk's largest
+        # buffer. It is built once per call, not per chunk, as int16, and the
+        # traced peak stays within its size plus a few slabs.
+        p = np.random.default_rng(12).random((200, 200)) + 0.01
+        chain = TransitionMatrix(p / p.sum(axis=1, keepdims=True))
+        emissions = EmissionSpec(tuple(Gaussian(float(j % 7), 1.0) for j in range(200)))
+        model = ModelSpec(chain, emissions, 1)
+        cum = np.cumsum(chain.p, axis=1)
+        cum[:, -1] = 1.0
+        table_bytes = (np.unique(cum).size + 1) * 200 * 2
+        n, n_paths, seed = 50, 6, SeedSpec(31, 2)
+        with mock.patch.object(process, "_walk_table", wraps=process._walk_table) as build:
+            tracemalloc.start()
+            try:
+                # Two replicates per chunk: three chunks.
+                states, obs = self._collect(model, n, n_paths, seed, max_elements=2 * (2 * n + 1))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert build.call_count == 1
+        assert table_bytes > 15_000_000
+        assert peak < table_bytes + 4 * process._WALK_SLAB_ELEMENTS * 8
+        expect_states, expect_obs = oracles.path_chunks_loop(model, n, n_paths, seed)
+        np.testing.assert_array_equal(states, expect_states)
+        np.testing.assert_array_equal(obs, expect_obs)
+
+    def test_table_over_cap_refused_before_drawing(self, bench_model):
+        # The two-state chain's table is 4 buckets (thresholds 0.2, 0.9, 1)
+        # x 2 regimes x 2 bytes; one byte less of cap refuses it.
+        cum = np.cumsum(bench_model.chain.p, axis=1)
+        assert process._walk_table(cum)[1].nbytes == 16
+        no_draws = mock.patch.object(SeedSpec, "rng", side_effect=AssertionError("drew"))
+        no_block_draws = mock.patch.object(SeedSpec, "block_rng", side_effect=AssertionError("drew"))
+        with mock.patch.object(process, "_WALK_TABLE_BYTES", 15), no_draws, no_block_draws:
+            with pytest.raises(InvalidModel, match="next-regime table"):
+                sample_path(bench_model, 10, SeedSpec(1))
+            with pytest.raises(InvalidModel, match="next-regime table"):
+                list(iter_path_chunks(bench_model, 10, 5, SeedSpec(1)))
+        with mock.patch.object(process, "_WALK_TABLE_BYTES", 16):
+            assert len(sample_path(bench_model, 10, SeedSpec(1))) == 10
 
     def test_rejects_degenerate_requests(self, bench_model):
         with pytest.raises(InvalidModel):

@@ -536,6 +536,19 @@ class TestCli:
         assert err["error"] == "config-invalid"
         assert "remainder envelope" in err["message"] or "third absolute moment" in err["message"]
 
+    def test_run_walk_table_over_cap_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # A chain whose next-regime table passes the cap is refused with
+        # exit 1, not an internal error.
+        import regimeclt.process as process_mod
+
+        monkeypatch.setattr(process_mod, "_WALK_TABLE_BYTES", 15)
+        path = write_scenario(tmp_path / "s.json", scenario_dict(experiment="clt", params=FAST_CLT_PARAMS))
+        code = cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-invalid"
+        assert "next-regime table" in err["message"]
+
     def test_run_bound_violation(self, tmp_path, capsys):
         path = write_scenario(
             tmp_path / "f.json",
