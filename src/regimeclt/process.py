@@ -444,8 +444,8 @@ def _walk_table(cum: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[
     depends on u only through its bucket b, the number of thresholds =
     unique(cum) at or below u, so table[b, j] holds it. Bucket 0 (u below
     every threshold) moves every regime to 0. The table has (buckets, N)
-    int16 entries, at most (N^2 + 1) N; one over _WALK_TABLE_BYTES raises
-    InvalidModel before anything is allocated.
+    int16 entries, at most (N^2 - N + 2) N since every row ends at 1; one
+    over _WALK_TABLE_BYTES raises InvalidModel before it is allocated.
     """
     n_states = cum.shape[0]
     thresholds = np.unique(cum)
@@ -475,8 +475,8 @@ def _walk(
     b the bucket of u_steps[i, t] among thresholds (see _walk_table). Each
     slab of about _WALK_SLAB_ELEMENTS uniforms is bucketed by one
     searchsorted, and each step is then one take from the table, or one
-    memoryview lookup when there is a single path. Nothing is drawn here, so the
-    draw order is the callers'. Returns the (paths, n) 0-based regimes.
+    memoryview lookup when there is a single path. Nothing is drawn here, so
+    the draw order is the callers'. Returns the (paths, n) 0-based regimes.
     """
     n_states = table.shape[1]
     flat = table.ravel()
