@@ -253,6 +253,6 @@ def cf_factorization_gap(
     n = int(t_idx[-1]) + 1
     stationary_model = model.stationary_start()
     rows = np.empty((replicates, len(t_idx)))
-    for start, _states, obs in iter_path_chunks(stationary_model, n, replicates, seed):
-        rows[start : start + obs.shape[0]] = obs[:, t_idx]
+    for start, _states, obs in iter_path_chunks(stationary_model, n, replicates, seed, times=t_idx):
+        rows[start : start + obs.shape[0]] = obs
     return cf_factorization_gap_from_samples(rows, t_grid, n_batches=n_batches)

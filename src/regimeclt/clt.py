@@ -27,13 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import special
 
 from .chain import mixing_rate
 from .errors import GapExceedsBlock, LengthMismatch
 from .process import (
     ModelSpec,
     PathSample,
+    _ndtr,
     iter_path_chunks,
     mixture_abs_third_moment,
     mixture_mean,
@@ -343,7 +343,7 @@ def ks_distance_to_std_normal(values) -> float:
     r = y.size
     if r < 1:
         raise ValueError("need at least one value")
-    cdf = special.ndtr(y)
+    cdf = _ndtr(y)
     i = np.arange(1, r + 1)
     return float(np.max(np.maximum(i / r - cdf, cdf - (i - 1) / r)))
 

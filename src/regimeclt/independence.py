@@ -471,10 +471,11 @@ def _mc_tuple_gaps(
     joint_hits = np.zeros(len(family), dtype=np.int64)
     marg_hits = [np.zeros(len(events), dtype=np.int64) for events in slots]
     stationary = model.stationary_start()
-    for _start, states, obs in iter_path_chunks(stationary, int(t_idx[-1]) + 1, replicates, seed):
+    for _start, states, obs in iter_path_chunks(stationary, int(t_idx[-1]) + 1, replicates, seed,
+                                                times=t_idx):
         joint = True
         for r, events in enumerate(slots):
-            cols = states[:, t_idx[r]], obs[:, t_idx[r]]
+            cols = states[:, t_idx[r]], obs[:, r]
             ind = np.stack([ev.indicator(*cols) for ev in events], axis=1)
             marg_hits[r] += ind.sum(axis=0)
             joint = joint & ind[:, tuple_idx[:, r]]

@@ -27,7 +27,6 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import special
 
 from .chain import ROW_SUM_TOL, TransitionMatrix, is_ergodic
 from .errors import InvalidModel, ZeroLikelihood
@@ -37,12 +36,96 @@ from .seeds import REPLICATE_BLOCK, SeedSpec
 # bracket narrower than 1e18.
 _QUANTILE_HALVINGS = 100
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# _walk buckets the transition uniforms in slabs of about this many elements,
-# so its scratch stays near 2 MiB whatever the (paths, steps) shape.
+_SQRT1_2 = math.sqrt(0.5)
+# _walk buckets the transition uniforms, and iter_path_chunks transforms the
+# observation uniforms, in slabs of about this many elements, so their scratch
+# stays near 2 MiB whatever the (paths, steps) shape.
 _WALK_SLAB_ELEMENTS = 1 << 18
 # Largest next-regime table _walk_table builds: about 2^25 int16 entries,
 # enough for any chain of up to 322 states.
 _WALK_TABLE_BYTES = 1 << 26
+
+
+# ---------------------------------------------------------------------------
+# standard normal CDF and quantile
+# ---------------------------------------------------------------------------
+
+# AS241 (PPND16) numerator and denominator coefficients, highest power first:
+# the central ratio in r = 0.180625 - q^2, then the two tail ratios in
+# r = sqrt(-log min(p, 1 - p)) - 1.6 (r <= 5) and r - 5 (r > 5).
+_AS241_CENTRAL = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0),
+)
+_AS241_NEAR_TAIL = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+     1.2704582524523683826e+0, 3.6478483247632045960e+0, 5.7694972214606914055e+0,
+     4.6303378461565452959e+0, 1.4234371107496835773e+0),
+    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
+     2.0531916266377588219e+0, 1.0),
+)
+_AS241_FAR_TAIL = (
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
+     5.4637849111641143699e+0, 6.6579046435011037772e+0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+     7.8686913114561329059e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0),
+)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _rational(coeffs, r: NDArray[np.float64]) -> NDArray[np.float64]:
+    """num(r) / den(r) by Horner's rule, for one (num, den) pair of AS241."""
+    num, den = (r * c[0] for c in coeffs)
+    num += coeffs[0][1]
+    den += coeffs[1][1]
+    for a, b in zip(coeffs[0][2:], coeffs[1][2:]):
+        num *= r
+        num += a
+        den *= r
+        den += b
+    return num / den
+
+
+def _ndtri(p) -> NDArray[np.float64]:
+    """Standard normal quantile by Wichura's AS241 (PPND16).
+
+    M. J. Wichura, "Algorithm AS 241: The percentage points of the normal
+    distribution", Applied Statistics 37(3), 477-484, 1988; the same
+    approximation as CPython's statistics.NormalDist.inv_cdf, accurate to
+    about 1e-16 relative. The central ratio (|p - 1/2| <= 0.425, 85% of
+    levels) is evaluated on the whole array, then only the tail entries are
+    recomputed. p = 0 and p = 1 give -inf and +inf.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    flat = p.ravel()
+    q = flat - 0.5
+    x = q * _rational(_AS241_CENTRAL, 0.180625 - q * q)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        pt = flat[tail]
+        # p = 0 and p = 1 make r infinite and their ratio nan; they are set last.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+            far = r > 5.0
+            xt = np.empty_like(r)
+            xt[~far] = _rational(_AS241_NEAR_TAIL, r[~far] - 1.6)
+            xt[far] = _rational(_AS241_FAR_TAIL, r[far] - 5.0)
+        xt[np.isinf(r)] = np.inf
+        x[tail] = np.where(q[tail] < 0.0, -xt, xt)
+    return x.reshape(p.shape)
+
+
+def _ndtr(x):
+    """Standard normal CDF, 0.5 erfc(-x / sqrt 2), elementwise by math.erfc."""
+    x = np.asarray(x, dtype=np.float64)
+    return 0.5 * np.asarray(_erfc(x * -_SQRT1_2), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -74,17 +157,17 @@ class Gaussian:
         return np.exp(-0.5 * z * z) / (self.sigma * _SQRT_2PI)
 
     def cdf(self, x):
-        return special.ndtr((np.asarray(x, dtype=np.float64) - self.mu) / self.sigma)
+        return _ndtr((np.asarray(x, dtype=np.float64) - self.mu) / self.sigma)
 
     def ppf(self, u):
         u = np.clip(np.asarray(u, dtype=np.float64), 1e-300, None)
-        return self.mu + self.sigma * special.ndtri(u)
+        return self.mu + self.sigma * _ndtri(u)
 
     def abs_third_moment(self, center: float = 0.0) -> float:
         # E|X - center|^3 via the folded-normal third moment.
         d = (self.mu - center) / self.sigma
         phi = math.exp(-0.5 * d * d) / _SQRT_2PI
-        cum = special.ndtr(d)
+        cum = _ndtr(d)
         val = (d**3 + 3.0 * d) * (2.0 * cum - 1.0) + 2.0 * (d * d + 2.0) * phi
         return self.sigma**3 * float(val)
 
@@ -488,9 +571,12 @@ def _walk(
         rows = np.searchsorted(thresholds, u_steps[:, t0 : t0 + slab_steps].T, side="right")
         rows *= n_states
         if size > 1:
-            for t, row in enumerate(rows, start=t0):
-                s = flat.take(row + s)
-                states[:, t] = s
+            # Each step fills one contiguous row of a (steps, paths) slab,
+            # and the slab is transposed into states once.
+            slab = np.empty(rows.shape, dtype=np.int16)
+            for row, out in zip(rows, slab):
+                s = flat.take(row + s, out=out)
+            states[:, t0 : t0 + len(slab)] = slab.T
             continue
         # One path: a memoryview lookup per step costs less than a numpy call.
         lookup, out = memoryview(flat), [int(s[0])]
@@ -534,6 +620,7 @@ def iter_path_chunks(
     n_paths: int,
     seed: SeedSpec,
     max_elements: int = 10_000_000,
+    times=None,
 ) -> Iterator[tuple[int, NDArray[np.int16], NDArray[np.float64]]]:
     """Simulate many replicate paths, yielding (start_index, states, obs) chunks.
 
@@ -542,12 +629,18 @@ def iter_path_chunks(
     REPLICATE_BLOCK), after the r % REPLICATE_BLOCK replicates before it in
     that block. The output is therefore independent of chunking, and the
     first m replicates are the same for every n_paths >= m. states chunks are
-    (chunk, n) 1-based int16, obs chunks (chunk, n) float64. The regimes of a
+    (chunk, n) 1-based int16, obs chunks (chunk, n) float64. Given times, 0-based
+    steps, obs chunks are (chunk, len(times)): only those columns are
+    transformed, with the same values as in the full obs. The regimes of a
     chunk come from _walk, which only buckets the drawn transition uniforms,
     so the layout above is the whole of the draw order.
     """
     if n < 1 or n_paths < 1:
         raise InvalidModel("n and n_paths must be >= 1")
+    if times is not None:
+        times = np.asarray(times, dtype=np.int64)
+        if times.ndim != 1 or times.size == 0 or times.min() < 0 or times.max() >= n:
+            raise InvalidModel(f"times must be a non-empty 1-d array of steps in 0..{n - 1}")
     draws_per_rep = 2 * n + 1
     chunk_size = max(1, min(n_paths, max_elements // draws_per_rep))
     thresholds, table = _walk_table(_cumulative_rows(model.chain))
@@ -578,7 +671,17 @@ def iter_path_chunks(
         else:
             s0 = np.searchsorted(cum_init, u[:, 0], side="right")
         states = _walk(thresholds, table, s0, u[:, 1 : n + 1])
-        obs = model.emissions.ppf_by_state(states, u[:, n + 1 :])
+        if times is None:
+            obs_states, u_obs = states, u[:, n + 1 :]
+        else:
+            obs_states, u_obs = states[:, times], u[:, n + 1 + times]
+        # Row blocks of about _WALK_SLAB_ELEMENTS keep the masks, gathers and
+        # temporaries of the transform in cache.
+        obs = np.empty(u_obs.shape)
+        block = max(1, _WALK_SLAB_ELEMENTS // u_obs.shape[1])
+        for r0 in range(0, size, block):
+            rows = slice(r0, r0 + block)
+            obs[rows] = model.emissions.ppf_by_state(obs_states[rows], u_obs[rows])
         yield start, states + np.int16(1), obs
         start += size
 

@@ -10,6 +10,7 @@ meaningful.
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, stats
@@ -34,6 +35,32 @@ def stationary_power_iteration(p: np.ndarray, iterations: int = 20_000) -> np.nd
         q = q2
     pi = q.mean(axis=0)
     return pi / pi.sum()
+
+
+def stationary_exact(p: np.ndarray) -> np.ndarray:
+    """Stationary law of the jumps of P in exact rational arithmetic.
+
+    Solves pi Q = 0, sum(pi) = 1 for Q = P off the diagonal and minus each
+    row's off-diagonal sum on it, by Gauss-Jordan elimination over the
+    Fractions of the float entries, and rounds each entry once. This is
+    pi P = pi whenever the rows sum to exactly 1.
+    """
+    n = len(p)
+    rows = [[Fraction(float(v)) for v in row] for row in p]
+    # Row i of the system is column i of Q; the last is replaced by sum = 1.
+    a = [[rows[j][i] if i != j else -(sum(rows[i]) - rows[i][i]) for j in range(n)]
+         for i in range(n - 1)]
+    a.append([Fraction(1)] * n)
+    b = [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if a[r][c] != 0)
+        a[c], a[pivot], b[c], b[pivot] = a[pivot], a[c], b[pivot], b[c]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                f = a[r][c] / a[c][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+                b[r] -= f * b[c]
+    return np.array([float(b[i] / a[i][i]) for i in range(n)])
 
 
 def is_ergodic_brute(p: np.ndarray) -> bool:

@@ -63,6 +63,20 @@ class TestStationary:
             assert np.max(np.abs(pi @ rows - pi)) < 1e-10
             assert abs(pi.sum() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("rows", [
+        # Birth-death chains: pi is proportional to (1, 2e-12, 1) and to
+        # (1, 2e-12, 2e-12).
+        [[1 - 1e-12, 1e-12, 0.0], [0.5, 0.0, 0.5], [0.0, 1e-12, 1 - 1e-12]],
+        [[1 - 1e-12, 1e-12, 0.0], [0.5, 0.5 - 1e-12, 1e-12], [0.0, 1e-12, 1 - 1e-12]],
+        # A slow cycle through three sticky regimes: pi is uniform.
+        [[1 - 1e-12, 1e-12, 0.0], [0.0, 1 - 1e-12, 1e-12], [1e-12, 0.0, 1 - 1e-12]],
+    ], ids=["two-sticky-ends", "one-sticky-end", "sticky-cycle"])
+    def test_stiff_chain_matches_exact_oracle(self, rows):
+        # Nearly decomposable chains: every entry of pi, down to the 1e-12
+        # ones, to a relative 1e-14.
+        pi = stationary_distribution(TransitionMatrix(np.array(rows))).pi
+        np.testing.assert_allclose(pi, oracles.stationary_exact(rows), rtol=1e-14, atol=0.0)
+
     def test_periodic_chain_rejected(self):
         swap = TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(NotErgodic):

@@ -17,7 +17,7 @@ from regimeclt.charfn import (
 )
 from regimeclt.errors import ConfigInvalid
 from regimeclt.independence import epsilon_certificate
-from regimeclt.process import mixture_cdf, mixture_mean, mixture_variance
+from regimeclt.process import iter_path_chunks, mixture_cdf, mixture_mean, mixture_variance
 from regimeclt.seeds import SeedSpec
 
 
@@ -184,6 +184,22 @@ class TestCfGapFromModel:
         )
         np.testing.assert_array_equal(a.gaps, b.gaps)
         np.testing.assert_array_equal(a.std_errors, b.std_errors)
+
+    def test_rows_are_the_full_paths_at_the_event_times(self, bench_model):
+        # cf_factorization_gap transforms only the observations at steps
+        # 0, 5, 10; its rows equal those columns of the full paths.
+        seed, replicates = SeedSpec(88, 4), 3_000
+        full = np.empty((replicates, 11))
+        for start, _states, obs in iter_path_chunks(bench_model, 11, replicates, seed):
+            full[start : start + obs.shape[0]] = obs
+        # Column indexing returns a Fortran-ordered array, whose reductions sum
+        # in another order; the rows cf_factorization_gap builds are C-ordered.
+        rows = np.ascontiguousarray(full[:, [0, 5, 10]])
+        expected = cf_factorization_gap_from_samples(rows, [0.5, 1.0, 2.0])
+        rep = cf_factorization_gap(bench_model, (5, 5), [0.5, 1.0, 2.0], replicates=replicates,
+                                   seed=seed)
+        np.testing.assert_array_equal(rep.gaps, expected.gaps)
+        np.testing.assert_array_equal(rep.std_errors, expected.std_errors)
 
     def test_argument_validation(self, bench_model):
         with pytest.raises(ValueError):
