@@ -191,7 +191,7 @@ def remainder_diagnostic(model: ModelSpec, decomposition: BlockDecomposition) ->
     """
     gamma0, a, q, c = _autocovariance_terms(model)
     gaps = np.diff(decomposition.remainder_indices)
-    powers = {int(g): np.linalg.matrix_power(q, int(g)) for g in np.unique(gaps)}
+    powers = {g: np.linalg.matrix_power(q, g) for g in set(gaps.tolist())}
     w = np.zeros_like(a)
     cross = 0.0
     for g in gaps.tolist():

@@ -531,7 +531,10 @@ def _walk_table(cum: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[
     over _WALK_TABLE_BYTES raises InvalidModel before it is allocated.
     """
     n_states = cum.shape[0]
-    thresholds = np.unique(cum)
+    # np.unique(cum); np.unique imports numpy.ma on first use (numpy 2.x), about
+    # 14 ms of a cold process.
+    thresholds = np.sort(cum, axis=None)
+    thresholds = thresholds[np.concatenate(([True], thresholds[1:] != thresholds[:-1]))]
     n_buckets = thresholds.size + 1
     if n_buckets * n_states * 2 > _WALK_TABLE_BYTES:
         raise InvalidModel(f"the regime walk of this {n_states}-state chain needs a "
