@@ -77,7 +77,6 @@ _AS241_FAR_TAIL = (
      7.8686913114561329059e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
      5.9983220655588793769e-1, 1.0),
 )
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _rational(coeffs, r: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -123,9 +122,16 @@ def _ndtri(p) -> NDArray[np.float64]:
 
 
 def _ndtr(x):
-    """Standard normal CDF, 0.5 erfc(-x / sqrt 2), elementwise by math.erfc."""
-    x = np.asarray(x, dtype=np.float64)
-    return 0.5 * np.asarray(_erfc(x * -_SQRT1_2), dtype=np.float64)
+    """Standard normal CDF, 0.5 erfc(-x / sqrt 2), elementwise by math.erfc.
+
+    Every caller passes a scalar or a short array, for which a Python loop
+    costs less than setting up a vectorised evaluation; a scalar returns a
+    float.
+    """
+    if np.ndim(x) == 0:
+        return 0.5 * math.erfc(float(x) * -_SQRT1_2)
+    z = (np.asarray(x, dtype=np.float64) * -_SQRT1_2).ravel().tolist()
+    return 0.5 * np.fromiter(map(math.erfc, z), np.float64, len(z)).reshape(np.shape(x))
 
 
 # ---------------------------------------------------------------------------
