@@ -206,7 +206,8 @@ def cf_factorization_gap_from_samples(samples, t_grid, n_batches: int = 20) -> C
     sides are computed from the same rows; the standard error is the spread
     of per-batch gap estimates across a fixed split into n_batches batches.
     """
-    x = np.asarray(samples, dtype=np.float64)
+    # C order at entry: the reductions' last bits depend on the layout.
+    x = np.ascontiguousarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < n_batches or x.shape[1] < 2:
         raise ValueError("samples must be (replicates, n_vars) with enough rows to batch")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))

@@ -114,15 +114,13 @@ def decompose(n: int, alpha_exp: float, m: int) -> BlockDecomposition:
     if m >= k:
         raise GapExceedsBlock(f"gap m={m} does not fit in blocks of k={k} indices")
     nu = n // k
-    block_ranges = tuple(((i - 1) * k + 1, i * k - m) for i in range(1, nu + 1))
-    remainder: list[int] = []
-    for i in range(1, nu + 1):
-        remainder.extend(range(i * k - m + 1, i * k + 1))
-    remainder.extend(range(nu * k + 1, n + 1))
+    ends = np.arange(1, nu + 1, dtype=np.int64) * k  # last index of each window
+    remainder = np.concatenate([(ends[:, None] + np.arange(1 - m, 1)).ravel(),
+                                np.arange(nu * k + 1, n + 1)])
     return BlockDecomposition(
         n=n, alpha_exp=alpha_exp, m=m, k=k, nu=nu,
-        block_ranges=block_ranges,
-        remainder_indices=np.array(remainder, dtype=np.int64),
+        block_ranges=tuple(zip((ends - k + 1).tolist(), (ends - m).tolist())),
+        remainder_indices=remainder,
     )
 
 

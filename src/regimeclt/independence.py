@@ -125,20 +125,26 @@ def _validate_lags(lags: Sequence[int], k: int) -> tuple[int, ...]:
     return lags
 
 
-def _exact_tuple_gap(
-    model: ModelSpec, powers: list[np.ndarray], events: Sequence[RectEvent]
-) -> float:
-    """|P(joint) - product of marginals| of one event tuple, stationary law.
+def _joint(model: ModelSpec, weights: Sequence[np.ndarray], lags: Sequence[int]) -> np.ndarray:
+    """Stationary joint probability of every choice of one event per position.
 
-    powers[r] is P^lag_r, the step from event r to event r + 1.
+    weights[r] is a (B_r, N) stack of event weights; position r + 1 sits
+    lags[r] steps after position r. The (B_0, ..., B_last) result holds
+    pi W_0 P^lag_0 W_1 ... W_last 1 for every choice of one row per stack.
+    Choices sharing a prefix share its propagated vector.
     """
-    pi = model.stationary()
-    weights = [ev.weights(model) for ev in events]
-    v = pi * weights[0]
-    for w, pt in zip(weights[1:], powers):
-        v = (v @ pt) * w
-    product = float(np.prod([pi @ w for w in weights]))
-    return abs(float(v.sum()) - product)
+    v = model.stationary() * weights[0]
+    for r, (w, t) in enumerate(zip(weights[1:], lags), 2):
+        v = v @ np.linalg.matrix_power(model.chain.p, t)
+        v = v @ w.T if r == len(weights) else (v[:, None, :] * w).reshape(-1, model.n_states)
+    return v.reshape([len(w) for w in weights])
+
+
+def _exact_tuple_gap(model: ModelSpec, events: Sequence[RectEvent], lags: Sequence[int]) -> float:
+    """|P(joint) - product of marginals| of one event tuple, stationary law."""
+    weights = np.stack([ev.weights(model) for ev in events])
+    product = float(np.prod([model.stationary() @ w for w in weights]))
+    return abs(float(_joint(model, weights[:, None, :], lags).sum()) - product)
 
 
 def conditional_gap_matrix(
@@ -160,14 +166,13 @@ def conditional_gap_matrix(
     """
     if tau < 1:
         raise ValueError("tau must be a positive integer")
-    pi = model.stationary()
-    pt = np.linalg.matrix_power(model.chain.p, tau)
-    p_cond = cond_weights @ pi
+    p_cond = cond_weights @ model.stationary()
     if p_cond.min() <= 0.0:
         raise EmptyConditioningEvent(f"conditioning event {int(p_cond.argmin())} has probability 0")
-    joint = ((pi * cond_weights) @ pt) @ target_weights.T
-    unconditional = (pi @ pt) @ target_weights.T
-    return np.abs(joint / p_cond[:, None] - unconditional)
+    # Row 0 conditions on the full space: the unconditional target law.
+    cond = np.vstack([np.ones(model.n_states), cond_weights])
+    joint = _joint(model, [cond, target_weights], [tau])
+    return np.abs(joint[1:] / p_cond[:, None] - joint[0])
 
 
 def conditional_gap_exact(
@@ -232,8 +237,7 @@ def joint_product_gap(
     if method == "exact":
         if k > MAX_EXACT_EVENTS:
             raise TooManyEventsForExact(f"exact evaluation supports at most {MAX_EXACT_EVENTS} events")
-        powers = [np.linalg.matrix_power(model.chain.p, t) for t in lags]
-        gap, std_error = _exact_tuple_gap(model, powers, events), 0.0
+        gap, std_error = _exact_tuple_gap(model, events, lags), 0.0
     elif method == "mc":
         if seed is None:
             raise ValueError("Monte Carlo evaluation requires a seed")
@@ -336,12 +340,10 @@ def epsilon_certificate(
     these are the full-line regime events and the full space. An explicit
     family is evaluated tuple by tuple as given.
     """
-    lags = tuple(int(t) for t in lags)
-    if not lags:
+    if len(lags) == 0:
         raise ValueError("at least one lag is required")
-    if any(t < 1 for t in lags):
-        raise ValueError("lags must be positive integers")
     k = len(lags) + 1
+    lags = _validate_lags(lags, k)
     if family is not None and base_events is not None:
         raise ValueError("give either an explicit family or base_events, not both")
 
@@ -352,12 +354,11 @@ def epsilon_certificate(
         family = itertools.product(base, repeat=k)
 
     if method == "exact":
-        powers = [np.linalg.matrix_power(model.chain.p, t) for t in lags]
         best = 0.0
         for events in family:
             if len(events) != k:
                 raise ValueError(f"every event tuple must have {k} entries")
-            best = max(best, _exact_tuple_gap(model, powers, events))
+            best = max(best, _exact_tuple_gap(model, events, lags))
         return best
     if method != "mc":
         raise ValueError("method must be 'exact' or 'mc'")
@@ -375,11 +376,10 @@ def _epsilon_exact_product_family(
     The base is first pruned to its undominated events (`_undominated`),
     which by multilinearity of the gap leaves the maximum unchanged.
 
-    Tuples sharing a prefix share the propagated state vector, so the
-    pruned family of B events costs O(B^(k-2)) vectorised steps per leading
-    event instead of B^k independent evaluations. The last lag is fused into
-    one matrix product with P^tau_last W^T, so per leading event at most
-    B^(k-2) max(N, B) values are held.
+    Per leading event, `_joint` shares every tuple prefix's propagated state
+    vector, so the pruned family of B events costs O(B^(k-2)) vectorised
+    steps per leading event instead of B^k independent evaluations, and at
+    most B^(k-2) max(N, B) values are held.
 
     Raises
     ------
@@ -402,19 +402,14 @@ def _epsilon_exact_product_family(
             f"needs {needed} bytes, above the {MAX_EXACT_CERTIFICATE_BYTES}-byte cap; "
             "use fewer quantile levels or fewer lags"
         )
-    pi = model.stationary()
-    powers = [np.linalg.matrix_power(model.chain.p, t) for t in lags]
-    marg = w @ pi  # (B,)
-    last = powers[-1] @ w.T  # (N, B)
+    marg = w @ model.stationary()  # (B,)
     best = 0.0
     for b0 in range(n_base):
-        v = (pi * w[b0])[None, :]
-        prod = marg[b0 : b0 + 1].copy()
-        for pt in powers[:-1]:
-            v = ((v @ pt)[:, None, :] * w[None, :, :]).reshape(-1, n_states)
-            prod = np.multiply.outer(prod, marg).reshape(-1)
-        gap = v @ last  # joint probabilities, (B^(k-2), B)
-        gap -= np.multiply.outer(prod, marg)
+        gap = _joint(model, [w[b0 : b0 + 1]] + [w] * len(lags), lags)
+        prod = marg[b0 : b0 + 1]
+        for _ in lags:
+            prod = np.multiply.outer(prod, marg)
+        gap -= prod
         best = max(best, float(np.max(np.abs(gap, out=gap))))
     return best
 

@@ -177,9 +177,6 @@ class Gaussian:
         val = (d**3 + 3.0 * d) * (2.0 * cum - 1.0) + 2.0 * (d * d + 2.0) * phi
         return self.sigma**3 * float(val)
 
-    def support(self) -> tuple[float, float]:
-        return (-math.inf, math.inf)
-
     def effective_support(self) -> tuple[float, float]:
         return (self.mu - 10.0 * self.sigma, self.mu + 10.0 * self.sigma)
 
@@ -227,9 +224,6 @@ class Uniform:
         if c >= b:
             return ((c - a) ** 4 - (c - b) ** 4) / (4.0 * w)
         return ((c - a) ** 4 + (b - c) ** 4) / (4.0 * w)
-
-    def support(self) -> tuple[float, float]:
-        return (self.a, self.b)
 
     def effective_support(self) -> tuple[float, float]:
         return (self.a, self.b)
@@ -287,9 +281,6 @@ class ShiftedExponential:
         below = d**3 * m0 - 3.0 * d * d * m1 + 3.0 * d * m2 - m3
         above = 6.0 * e / lam**3
         return below + above
-
-    def support(self) -> tuple[float, float]:
-        return (self.shift, math.inf)
 
     def effective_support(self) -> tuple[float, float]:
         return (self.shift, self.shift + 50.0 / self.rate)

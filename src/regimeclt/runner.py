@@ -275,7 +275,6 @@ def _require_ergodic(model: ModelSpec) -> None:
 
 
 def _experiment_mixing(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
-    _require_ergodic(scenario.model)
     params = scenario.params
     chain = scenario.model.chain
     prof = mixing_rate(chain, s_max=params["s_max"])
@@ -296,7 +295,6 @@ def _experiment_mixing(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
 
 
 def _experiment_independence(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
-    _require_ergodic(scenario.model)
     model = scenario.model
     params = scenario.params
     tau_grid = params["tau_grid"]
@@ -342,7 +340,6 @@ def _experiment_independence(scenario: Scenario) -> tuple[dict, list[Row], list[
 
 
 def _experiment_cf_gap(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
-    _require_ergodic(scenario.model)
     model = scenario.model
     params = scenario.params
     lags = params["lags"]
@@ -391,7 +388,6 @@ MAX_CLT_N_GRID = 30
 
 
 def _experiment_clt(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
-    _require_ergodic(scenario.model)
     model = scenario.model
     params = scenario.params
     scale = scenario.bound_scale
@@ -523,7 +519,7 @@ def run_scenario(scenario: Scenario, out_dir, threads: int = 1) -> RunResult:
     out_root = Path(out_dir)
     target = out_root / scenario.name
     target.mkdir(parents=True, exist_ok=True)
-
+    _require_ergodic(scenario.model)
     try:
         results, rows, violations = _PIPELINES[scenario.experiment](scenario)
     except InvalidModel as exc:

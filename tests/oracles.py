@@ -308,6 +308,22 @@ def autocovariances(model, n: int) -> np.ndarray:
     return gammas
 
 
+def block_partition_loop(n: int, k: int, m: int) -> tuple[tuple, list]:
+    """Block ranges and remainder indices of 1..n, one window at a time.
+
+    Window i covers (i-1)k + 1 .. ik; its first k - m indices form block i
+    and its last m join the remainder, followed by the indices past the
+    last full window.
+    """
+    nu = n // k
+    block_ranges = tuple(((i - 1) * k + 1, i * k - m) for i in range(1, nu + 1))
+    remainder: list[int] = []
+    for i in range(1, nu + 1):
+        remainder.extend(range(i * k - m + 1, i * k + 1))
+    remainder.extend(range(nu * k + 1, n + 1))
+    return block_ranges, remainder
+
+
 def remainder_second_moment_pairs(model, remainder_indices, n: int) -> float:
     """(1/n) sum_{i,j in R} gamma(|i - j|) over every ordered pair."""
     idx = np.asarray(remainder_indices)

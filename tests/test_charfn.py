@@ -192,14 +192,20 @@ class TestCfGapFromModel:
         full = np.empty((replicates, 11))
         for start, _states, obs in iter_path_chunks(bench_model, 11, replicates, seed):
             full[start : start + obs.shape[0]] = obs
-        # Column indexing returns a Fortran-ordered array, whose reductions sum
-        # in another order; the rows cf_factorization_gap builds are C-ordered.
-        rows = np.ascontiguousarray(full[:, [0, 5, 10]])
+        rows = full[:, [0, 5, 10]]  # Fortran-ordered; the function takes it to C order
         expected = cf_factorization_gap_from_samples(rows, [0.5, 1.0, 2.0])
         rep = cf_factorization_gap(bench_model, (5, 5), [0.5, 1.0, 2.0], replicates=replicates,
                                    seed=seed)
         np.testing.assert_array_equal(rep.gaps, expected.gaps)
         np.testing.assert_array_equal(rep.std_errors, expected.std_errors)
+
+    def test_memory_layout_does_not_change_the_bits(self):
+        # The same values in C and Fortran order give the same gaps to the bit.
+        x = np.cumsum(np.random.default_rng(21).standard_normal((3000, 3)), axis=1)
+        c_order = cf_factorization_gap_from_samples(x, [0.5, 1.0, 2.0])
+        f_order = cf_factorization_gap_from_samples(np.asfortranarray(x), [0.5, 1.0, 2.0])
+        np.testing.assert_array_equal(c_order.gaps, f_order.gaps)
+        np.testing.assert_array_equal(c_order.std_errors, f_order.std_errors)
 
     def test_argument_validation(self, bench_model):
         with pytest.raises(ValueError):

@@ -80,6 +80,18 @@ class TestDecompose:
         assert seen[1:].all()
         assert d.p == d.m * d.nu + (d.n - d.k * d.nu)
 
+    @pytest.mark.parametrize("n", [16, 20, 97, 100, 1000, 4096, 10_007, 65_536])
+    @pytest.mark.parametrize("alpha_exp", [0.08, 0.125, 0.2, 0.25])
+    def test_matches_window_loop(self, n, alpha_exp):
+        k = int(math.floor(n**alpha_exp + 1e-9))
+        for m in range(1, k):
+            d = decompose(n, alpha_exp, m)
+            ranges, remainder = oracles.block_partition_loop(n, d.k, m)
+            assert d.k == k and d.block_ranges == ranges
+            assert all(type(v) is int for pair in d.block_ranges for v in pair)
+            assert d.remainder_indices.dtype == np.int64
+            np.testing.assert_array_equal(d.remainder_indices, remainder)
+
     def test_argument_errors(self):
         with pytest.raises(ValueError):
             decompose(3, 0.25, 1)

@@ -16,6 +16,7 @@ from regimeclt.errors import ConfigInvalid, EmptyConditioningEvent, TooManyEvent
 from regimeclt.independence import (
     MAX_EXACT_CERTIFICATE_BYTES,
     RectEvent,
+    _joint,
     chained_gap_bound,
     conditional_gap_exact,
     conditional_gap_matrix,
@@ -171,6 +172,30 @@ class TestConditionalGapMatrix:
         w_t = RectEvent(frozenset({3})).weights(model)[None, :]
         with pytest.raises(EmptyConditioningEvent):
             conditional_gap_matrix(model, w_t, w_c, 2)
+
+
+class TestJointCore:
+    @pytest.mark.parametrize("sizes,lags", [
+        ((3, 1), (3,)),
+        ((1, 2), (1,)),
+        ((2, 3, 1), (2, 1)),
+        ((1, 3, 2, 2), (3, 1, 2)),
+        ((3, 1, 2, 3), (1, 2, 3)),
+    ])
+    @pytest.mark.parametrize("chain_index", range(3))
+    def test_matches_enumeration_with_unequal_stacks(self, sizes, lags, chain_index):
+        rows = random_chain_pool(3, seed=1117, n_min=2, n_max=4)[chain_index]
+        model = _gaussian_model(rows)
+        rng = np.random.default_rng(31 * chain_index + len(sizes))
+        weights = [rng.uniform(size=(b, model.n_states)) for b in sizes]
+        joint = _joint(model, weights, lags)
+        assert joint.shape == sizes
+        times = [0, *np.cumsum(lags).tolist()]
+        for idx in itertools.product(*(range(b) for b in sizes)):
+            expected = oracles.enumerate_joint_probability(
+                model.stationary(), model.chain.p, times, [w[i] for w, i in zip(weights, idx)]
+            )
+            assert abs(joint[idx] - expected) <= 1e-14
 
 
 class TestJointProductGap:
