@@ -142,9 +142,9 @@ def _joint(model: ModelSpec, weights: Sequence[np.ndarray], lags: Sequence[int])
 
 def _exact_tuple_gap(model: ModelSpec, events: Sequence[RectEvent], lags: Sequence[int]) -> float:
     """|P(joint) - product of marginals| of one event tuple, stationary law."""
-    weights = np.stack([ev.weights(model) for ev in events])
+    weights = [ev.weights(model) for ev in events]
     product = float(np.prod([model.stationary() @ w for w in weights]))
-    return abs(float(_joint(model, weights[:, None, :], lags).sum()) - product)
+    return abs(float(_joint(model, [w[None, :] for w in weights], lags).sum()) - product)
 
 
 def conditional_gap_matrix(
