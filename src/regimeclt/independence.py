@@ -142,7 +142,8 @@ def _joint(model: ModelSpec, weights: Sequence[np.ndarray], lags: Sequence[int])
 
 def _exact_tuple_gap(model: ModelSpec, events: Sequence[RectEvent], lags: Sequence[int]) -> float:
     """|P(joint) - product of marginals| of one event tuple, stationary law."""
-    weights = [ev.weights(model) for ev in events]
+    distinct = {ev: ev.weights(model) for ev in dict.fromkeys(events)}
+    weights = [distinct[ev] for ev in events]
     product = float(np.prod([model.stationary() @ w for w in weights]))
     return abs(float(_joint(model, [w[None, :] for w in weights], lags).sum()) - product)
 
@@ -346,6 +347,8 @@ def epsilon_certificate(
     lags = _validate_lags(lags, k)
     if family is not None and base_events is not None:
         raise ValueError("give either an explicit family or base_events, not both")
+    if method == "exact" and k > MAX_EXACT_EVENTS:
+        raise TooManyEventsForExact(f"exact evaluation supports at most {MAX_EXACT_EVENTS} events")
 
     if family is None:
         base = default_event_family(model) if base_events is None else tuple(base_events)
@@ -388,10 +391,6 @@ def _epsilon_exact_product_family(
         base, would exceed MAX_EXACT_CERTIFICATE_BYTES; nothing beyond the
         base's weights is allocated in that case.
     """
-    if len(lags) + 1 > MAX_EXACT_EVENTS:
-        raise TooManyEventsForExact(
-            f"exact evaluation supports at most {MAX_EXACT_EVENTS} events"
-        )
     n_states = model.n_states
     w = _undominated(np.stack([ev.weights(model) for ev in base]))  # (B, N)
     n_base = w.shape[0]

@@ -587,33 +587,6 @@ def _walk(
     return states
 
 
-def sample_path(model: ModelSpec, n: int, seed: SeedSpec) -> PathSample:
-    """Simulate n steps of the hidden chain and its emissions.
-
-    The generator is consumed in a fixed order (initial draw if the initial
-    law is random, then n state uniforms, then n observation uniforms), so a
-    given (model, n, seed) reproduces the path bit for bit. The regimes come
-    from _walk, the walk iter_path_chunks uses; it draws nothing, so the
-    order above is the whole of the stream layout.
-    """
-    if n < 1:
-        raise InvalidModel("path length must be >= 1")
-    thresholds, table = _walk_table(_cumulative_rows(model.chain))
-    rng = seed.rng()
-    if isinstance(model.initial, int):
-        state0 = model.initial - 1
-    else:
-        init = model.initial_distribution()
-        cum_init = np.cumsum(init)
-        cum_init[-1] = 1.0
-        state0 = int(np.searchsorted(cum_init, rng.random(), side="right"))
-    u_state = rng.random(n)
-    u_obs = rng.random(n)
-    states0 = _walk(thresholds, table, np.array([state0]), u_state[None, :])[0]
-    observations = model.emissions.ppf_by_state(states0, u_obs)
-    return PathSample(states=states0 + 1, observations=observations, seed=seed)
-
-
 def iter_path_chunks(
     model: ModelSpec,
     n: int,
@@ -644,13 +617,9 @@ def iter_path_chunks(
     draws_per_rep = 2 * n + 1
     chunk_size = max(1, min(n_paths, max_elements // draws_per_rep))
     thresholds, table = _walk_table(_cumulative_rows(model.chain))
-    fixed_initial = isinstance(model.initial, int)
-    if fixed_initial:
-        state0 = model.initial - 1
-        cum_init = None
-    else:
-        cum_init = np.cumsum(model.initial_distribution())
-        cum_init[-1] = 1.0
+    # A fixed regime j has cumsum(e_j) = (0, .., 0, 1, .., 1): every u in [0, 1) starts at j.
+    cum_init = np.cumsum(model.initial_distribution())
+    cum_init[-1] = 1.0
 
     start = 0
     while start < n_paths:
@@ -666,10 +635,7 @@ def iter_path_chunks(
             take = min(size - row, REPLICATE_BLOCK - offset)
             rng.random(out=u[row : row + take])
             row += take
-        if fixed_initial:
-            s0 = np.full(size, state0, dtype=np.int64)
-        else:
-            s0 = np.searchsorted(cum_init, u[:, 0], side="right")
+        s0 = np.searchsorted(cum_init, u[:, 0], side="right")
         states = _walk(thresholds, table, s0, u[:, 1 : n + 1])
         if times is None:
             obs_states, u_obs = states, u[:, n + 1 :]
@@ -686,13 +652,14 @@ def iter_path_chunks(
         start += size
 
 
-def sample_stationary_mixture(model: ModelSpec, size: int, rng: np.random.Generator) -> NDArray[np.float64]:
-    """Draw iid values from the stationary observable mixture of the model."""
-    pi = model.stationary()
-    cum_pi = np.cumsum(pi)
-    cum_pi[-1] = 1.0
-    states0 = np.searchsorted(cum_pi, rng.random(size), side="right")
-    return model.emissions.ppf_by_state(states0, rng.random(size))
+def sample_path(model: ModelSpec, n: int, seed: SeedSpec) -> PathSample:
+    """Simulate n steps of the hidden chain and its emissions.
+
+    The path is replicate 0 of iter_path_chunks(model, n, 1, seed): it follows
+    that stream layout and reproduces bit for bit for a given (model, n, seed).
+    """
+    _start, states, obs = next(iter_path_chunks(model, n, 1, seed))
+    return PathSample(states=states[0], observations=obs[0], seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Deterministic RNG stream derivation.
 
-Every stochastic routine in the package draws from a generator derived from a
-(base seed, stream id) pair. Replicated experiments split the replicate
-indices into fixed blocks of REPLICATE_BLOCK and derive one child stream per
-block from (base, stream, block index). A block's generator fills its
-replicates' uniforms one replicate after another, so replicate r's draws
-depend only on (base, stream, r): results are reproducible bit for bit and do
-not depend on scheduling, chunking, or how many replicates were requested.
+Every stochastic routine in the package draws replicate paths through
+process.iter_path_chunks, from generators derived from a (base seed, stream
+id) pair: the replicate indices are split into fixed blocks of
+REPLICATE_BLOCK, and one child stream per block is derived from (base,
+stream, block index). A block's generator fills its replicates' uniforms one
+replicate after another, so replicate r's draws depend only on (base, stream,
+r): results are reproducible bit for bit and do not depend on scheduling,
+chunking, or how many replicates were requested.
 """
 
 from __future__ import annotations
@@ -32,12 +33,6 @@ class SeedSpec:
             raise ValueError("base seed must fit in 64 bits")
         if int(self.stream) < 0:
             raise ValueError("stream id must be nonnegative")
-
-    def rng(self) -> np.random.Generator:
-        """Generator for this stream."""
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.base, spawn_key=(self.stream,))
-        )
 
     def block_rng(self, block: int) -> np.random.Generator:
         """Generator shared, in index order, by the REPLICATE_BLOCK replicates

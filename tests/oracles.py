@@ -8,7 +8,6 @@ meaningful.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -206,24 +205,6 @@ def path_chunks_loop(model, n: int, n_paths: int, seed) -> tuple[np.ndarray, np.
     ])
     states = walk_loop(_cumulative_rows(model.chain.p), _initial_states(model, u[:, 0]), u[:, 1 : n + 1])
     return states + 1, _observations(model, states, u[:, n + 1 :])
-
-
-def sample_path_bisect(model, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """One path as sample_path draws it, (1-based states, obs), with the
-    regimes found by bisecting each cumulative row in a Python loop."""
-    rng = seed.rng()
-    if isinstance(model.initial, int):
-        state = model.initial - 1
-    else:
-        state = int(_initial_states(model, np.array([rng.random()]))[0])
-    u_state = rng.random(n).tolist()
-    u_obs = rng.random(n)
-    cum_lists = [row.tolist() for row in _cumulative_rows(model.chain.p)]
-    states = np.empty(n, dtype=np.int64)
-    for t in range(n):
-        state = bisect_right(cum_lists[state], u_state[t])
-        states[t] = state
-    return states + 1, _observations(model, states, u_obs)
 
 
 # ---------------------------------------------------------------------------

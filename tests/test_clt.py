@@ -32,6 +32,9 @@ from regimeclt.process import (
     ModelSpec,
     ShiftedExponential,
     Uniform,
+    iter_path_chunks,
+    mixture_mean,
+    mixture_variance,
     sample_path,
 )
 from regimeclt.seeds import SeedSpec
@@ -70,12 +73,16 @@ class TestDecompose:
             return
         m = max(1, min(k - 1, int(1 + m_frac * (k - 1))))
         d = decompose(n, alpha_exp, m)
-        seen = np.zeros(n + 1, dtype=bool)
-        for lo, hi in d.block_ranges:
-            assert hi - lo + 1 == d.k - d.m
-            assert not seen[lo : hi + 1].any()
-            seen[lo : hi + 1] = True
-        assert not seen[d.remainder_indices].any()
+        lo, hi = np.array(d.block_ranges, dtype=np.int64).reshape(-1, 2).T
+        assert (hi - lo + 1 == d.k - d.m).all()
+        # Blocks covering each index: +1 at every lo, -1 past every hi.
+        steps = np.zeros(n + 2, dtype=np.int64)
+        np.add.at(steps, lo, 1)
+        np.add.at(steps, hi + 1, -1)
+        covers = np.cumsum(steps)[: n + 1]
+        assert covers.max() <= 1
+        assert not covers[d.remainder_indices].any()
+        seen = covers > 0
         seen[d.remainder_indices] = True
         assert seen[1:].all()
         assert d.p == d.m * d.nu + (d.n - d.k * d.nu)
@@ -260,6 +267,24 @@ class TestLindeberg:
         threshold = 0.3 * rep.normalizer * math.sqrt(25)
         expected = oracles.mixture_lindeberg_sum_gaussian(pi, means, sds, threshold)
         assert abs(rep.values[0, 0] - expected) <= 4 * rep.std_errors[0, 0]
+
+    def test_matches_sums_over_path_chunk_draws(self, bench_model):
+        # The sample is obs[:, 0] of one-step replicates started from the
+        # stationary law, whatever the model's own initial law.
+        model = ModelSpec(bench_model.chain, bench_model.emissions, initial=2)
+        n_grid, eta_grid, reps, seed = (1, 4, 9), (0.0, 0.3, 0.8), 3_000, SeedSpec(21, 5)
+        rep = lindeberg_check(model, n_grid, eta_grid, replicates=reps, seed=seed)
+        x = np.concatenate([obs[:, 0] for _start, _states, obs in iter_path_chunks(
+            model.stationary_start(), 1, reps, seed)])
+        dev = x - mixture_mean(model)
+        var = mixture_variance(model)
+        for i, n in enumerate(n_grid):
+            for j, eta in enumerate(eta_grid):
+                tail = np.where(np.abs(dev) > eta * math.sqrt(var * n), dev**2 / var, 0.0)
+                assert rep.values[i, j] == pytest.approx(tail.mean(), rel=1e-12, abs=1e-300)
+                assert rep.std_errors[i, j] == pytest.approx(tail.std() / math.sqrt(reps),
+                                                             rel=1e-12, abs=1e-300)
+        assert rep.values[0, 0] > rep.values[0, 1] > rep.values[2, 1] > rep.values[2, 2] > 0.0
 
     def test_argument_errors(self, bench_model):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 from typing import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -229,6 +230,21 @@ class TestJointProductGap:
         product = float(np.prod([pi @ w for w in weights]))
         assert rep.gap_estimate == pytest.approx(abs(joint - product), abs=1e-13)
 
+    def test_repeated_events_weighed_once(self, bench_model):
+        # Each distinct event's weights are computed once per tuple, and the
+        # gap matches enumeration over the repeated events.
+        below = RectEvent(frozenset({1}), -math.inf, 0.0)
+        events, lags = [below, FULL, below, below, FULL], (1, 2, 1, 3)
+        with mock.patch.object(RectEvent, "weights", autospec=True,
+                               side_effect=RectEvent.weights) as weights:
+            rep = joint_product_gap(bench_model, events, lags)
+        assert weights.call_count == 2
+        pi = bench_model.stationary()
+        w = [ev.weights(bench_model) for ev in events]
+        joint = oracles.enumerate_joint_probability(pi, bench_model.chain.p, [0, 1, 3, 4, 7], w)
+        product = float(np.prod([pi @ v for v in w]))
+        assert rep.gap_estimate == pytest.approx(abs(joint - product), abs=1e-13)
+
     def test_full_space_events_give_zero_gap(self, bench_model):
         rep = joint_product_gap(bench_model, [FULL, FULL, FULL], (1, 4))
         assert rep.gap_estimate <= 1e-15
@@ -436,6 +452,9 @@ class TestEpsilonCertificate:
             epsilon_certificate(bench_model, (1,), method="mc")
         with pytest.raises(TooManyEventsForExact):
             epsilon_certificate(bench_model, (1,) * 6, base_events=[FULL, STATE1])
+        # An explicit family is capped too: this 8-event tuple once gave 0.2798.
+        with pytest.raises(TooManyEventsForExact):
+            epsilon_certificate(bench_model, (1,) * 7, family=[(STATE1,) * 8])
 
     def test_exact_family_memory_preflight(self):
         # 60 quantile levels give 61 observation-only events, all weighing

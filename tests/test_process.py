@@ -34,7 +34,6 @@ from regimeclt.process import (
     mixture_variance,
     predictive_state_probs,
     sample_path,
-    sample_stationary_mixture,
 )
 from regimeclt.seeds import REPLICATE_BLOCK, SeedSpec
 
@@ -298,9 +297,10 @@ class TestSamplePath:
             for seed in (SeedSpec(11, 3), SeedSpec(2024, 0)):
                 with mock.patch.object(process, "_WALK_SLAB_ELEMENTS", slab):
                     path = sample_path(model, n, seed)
-                states, obs = oracles.sample_path_bisect(model, n, seed)
-                np.testing.assert_array_equal(path.states, states)
-                np.testing.assert_array_equal(path.observations, obs)
+                # Replicate 0 of the block streams, walked one step at a time.
+                states, obs = oracles.path_chunks_loop(model, n, 1, seed)
+                np.testing.assert_array_equal(path.states, states[0])
+                np.testing.assert_array_equal(path.observations, obs[0])
 
 
 class TestIterPathChunks:
@@ -486,14 +486,34 @@ class TestIterPathChunks:
         np.testing.assert_array_equal(states, expect_states)
         np.testing.assert_array_equal(obs, expect_obs)
 
+    def test_fixed_initial_regime_ignores_its_uniform(self, bench_model):
+        # cumsum(e_j) is (0, .., 0, 1, .., 1) with j zeros, so the initial
+        # uniform u in [0, 1) starts a fixed regime j at j whatever u is: at 0,
+        # at every tie value of the walk and one ulp below it, and just under 1.
+        for base in (bench_model, ZERO_ROW_MODELS[0]):
+            cum = np.cumsum(base.chain.p, axis=1)
+            ties = np.unique(cum[cum < 1.0])
+            u0 = np.concatenate(([0.0], ties, np.nextafter(ties, 0.0), [np.nextafter(1.0, 0.0)]))
+
+            class Draws:
+                # Replicate r's 2n + 1 uniforms all equal u0[r].
+                def random(self, out):
+                    out[:] = u0[:, None]
+
+            for j in range(1, base.n_states + 1):
+                model = dataclasses.replace(base, initial=j)
+                with mock.patch.object(SeedSpec, "block_rng", return_value=Draws()), \
+                        mock.patch.object(process, "_walk", wraps=process._walk) as walk:
+                    list(iter_path_chunks(model, 2, u0.size, SeedSpec(1)))
+                np.testing.assert_array_equal(walk.call_args.args[2], np.full(u0.size, j - 1))
+
     def test_table_over_cap_refused_before_drawing(self, bench_model):
         # The two-state chain's table is 4 buckets (thresholds 0.2, 0.9, 1)
         # x 2 regimes x 2 bytes; one byte less of cap refuses it.
         cum = np.cumsum(bench_model.chain.p, axis=1)
         assert process._walk_table(cum)[1].nbytes == 16
-        no_draws = mock.patch.object(SeedSpec, "rng", side_effect=AssertionError("drew"))
         no_block_draws = mock.patch.object(SeedSpec, "block_rng", side_effect=AssertionError("drew"))
-        with mock.patch.object(process, "_WALK_TABLE_BYTES", 15), no_draws, no_block_draws:
+        with mock.patch.object(process, "_WALK_TABLE_BYTES", 15), no_block_draws:
             with pytest.raises(InvalidModel, match="next-regime table"):
                 sample_path(bench_model, 10, SeedSpec(1))
             with pytest.raises(InvalidModel, match="next-regime table"):
@@ -615,9 +635,9 @@ class TestMixtureSummaries:
             mixture_quantile(bench_model, 0.0)
 
     def test_stationary_sampler_marginal(self, bench_model):
-        values = sample_stationary_mixture(
-            bench_model, 100_000, np.random.default_rng(17)
-        )
+        # One step from the stationary law is a draw from the stationary mixture.
+        values = np.concatenate([obs[:, 0] for _start, _states, obs in iter_path_chunks(
+            bench_model.stationary_start(), 1, 100_000, SeedSpec(17))])
         d = oracles.ks_distance_sorted(np.sort(values), lambda x: mixture_cdf(bench_model, x))
         # 99th percentile of the Kolmogorov statistic is about 1.63 / sqrt(n).
         assert d < 1.9 / np.sqrt(values.size)

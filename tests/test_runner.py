@@ -526,7 +526,6 @@ class TestCli:
             raise AssertionError("sampled before the remainder envelope was checked")
 
         monkeypatch.setattr(clt_mod, "iter_path_chunks", no_sampling)
-        monkeypatch.setattr(clt_mod, "sample_stationary_mixture", no_sampling)
         obj = scenario_dict(experiment="clt", params=FAST_CLT_PARAMS)
         obj["model"]["emissions"] = emissions
         path = write_scenario(tmp_path / "s.json", obj)
@@ -548,6 +547,18 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config-invalid"
         assert "next-regime table" in err["message"]
+
+    @pytest.mark.parametrize("experiment", ["independence", "cf_gap"])
+    def test_run_too_many_events_is_config_error(self, tmp_path, capsys, experiment):
+        # Six lags put seven events past exact evaluation's cap of six: exit 1,
+        # not an internal error.
+        params = {"lags": [1] * 6, "quantile_levels": [0.5]}
+        path = write_scenario(tmp_path / "s.json", scenario_dict(experiment=experiment, params=params))
+        code = cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-invalid"
+        assert "at most 6 events" in err["message"]
 
     def test_run_bound_violation(self, tmp_path, capsys):
         path = write_scenario(
