@@ -25,6 +25,8 @@ from .process import ModelSpec, iter_path_chunks, mixture_mean, mixture_variance
 from .seeds import SeedSpec
 
 STEP_CHECK_POINTS = 10_000
+# Batches behind a sampled cf gap's standard error; each takes at least one replicate.
+CF_GAP_BATCHES = 20
 # Cells in 2^30 bytes at 48 bytes per cell (breakpoints, midpoints and two
 # complex arrays): the largest step approximation that is built.
 _MAX_STEP_CELLS = 2**30 // 48
@@ -199,7 +201,7 @@ class CfGapReport:
         return float(np.max(self.gaps))
 
 
-def cf_factorization_gap_from_samples(samples, t_grid, n_batches: int = 20) -> CfGapReport:
+def cf_factorization_gap_from_samples(samples, t_grid, n_batches: int = CF_GAP_BATCHES) -> CfGapReport:
     """Gap |ecf(sum) - prod ecf(X_r)| per t, from joint replicates.
 
     samples has one row per replicate and one column per variable. Both
@@ -236,7 +238,7 @@ def cf_factorization_gap(
     t_grid,
     replicates: int = 100_000,
     seed: SeedSpec | None = None,
-    n_batches: int = 20,
+    n_batches: int = CF_GAP_BATCHES,
 ) -> CfGapReport:
     """Sample (X_1, ..., X_k) at the given spacings and measure the cf gap.
 

@@ -140,10 +140,8 @@ def _joint(model: ModelSpec, weights: Sequence[np.ndarray], lags: Sequence[int])
     return v.reshape([len(w) for w in weights])
 
 
-def _exact_tuple_gap(model: ModelSpec, events: Sequence[RectEvent], lags: Sequence[int]) -> float:
-    """|P(joint) - product of marginals| of one event tuple, stationary law."""
-    distinct = {ev: ev.weights(model) for ev in dict.fromkeys(events)}
-    weights = [distinct[ev] for ev in events]
+def _exact_tuple_gap(model: ModelSpec, weights: Sequence[np.ndarray], lags: Sequence[int]) -> float:
+    """|P(joint) - product of marginals| of one tuple of event weights, stationary law."""
     product = float(np.prod([model.stationary() @ w for w in weights]))
     return abs(float(_joint(model, [w[None, :] for w in weights], lags).sum()) - product)
 
@@ -238,7 +236,8 @@ def joint_product_gap(
     if method == "exact":
         if k > MAX_EXACT_EVENTS:
             raise TooManyEventsForExact(f"exact evaluation supports at most {MAX_EXACT_EVENTS} events")
-        gap, std_error = _exact_tuple_gap(model, events, lags), 0.0
+        rows = {ev: ev.weights(model) for ev in dict.fromkeys(events)}
+        gap, std_error = _exact_tuple_gap(model, [rows[ev] for ev in events], lags), 0.0
     elif method == "mc":
         if seed is None:
             raise ValueError("Monte Carlo evaluation requires a seed")
@@ -321,7 +320,6 @@ def epsilon_certificate(
     method: str = "exact",
     replicates: int = 100_000,
     seed: SeedSpec | None = None,
-    profile: MixingProfile | None = None,
     base_events: Sequence[RectEvent] | None = None,
 ) -> float:
     """Certified near-independence level over a rectangle-event family.
@@ -339,7 +337,8 @@ def epsilon_certificate(
     over a pool (default or base_events) therefore scores only the pool's
     undominated events, which gives the same maximum; for the default pool
     these are the full-line regime events and the full space. An explicit
-    family is evaluated tuple by tuple as given.
+    family is evaluated tuple by tuple as given, weighing each distinct
+    event once.
     """
     if len(lags) == 0:
         raise ValueError("at least one lag is required")
@@ -357,11 +356,15 @@ def epsilon_certificate(
         family = itertools.product(base, repeat=k)
 
     if method == "exact":
+        rows: dict[RectEvent, NDArray[np.float64]] = {}
         best = 0.0
         for events in family:
             if len(events) != k:
                 raise ValueError(f"every event tuple must have {k} entries")
-            best = max(best, _exact_tuple_gap(model, events, lags))
+            for ev in events:
+                if ev not in rows:
+                    rows[ev] = ev.weights(model)
+            best = max(best, _exact_tuple_gap(model, [rows[ev] for ev in events], lags))
         return best
     if method != "mc":
         raise ValueError("method must be 'exact' or 'mc'")

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .chain import is_ergodic, mixing_rate
-from .charfn import build_step_approximation, cf_factorization_gap, truncation_radius
+from .charfn import CF_GAP_BATCHES, build_step_approximation, cf_factorization_gap, truncation_radius
 from .clt import clt_convergence, decompose, remainder_diagnostic
 from .errors import (BoundViolated, ConfigInvalid, GapExceedsBlock, InvalidModel, RegimecltError,
                      TooManyEventsForExact)
@@ -87,6 +87,9 @@ _INT_PARAMS = {"s_max", "replicates", "m", "remainder_replicates", "batches", "l
 _INT_LIST_PARAMS = {"tau_grid", "lags", "n_grid"}
 _FLOAT_LIST_PARAMS = {"t_grid", "eta_grid", "quantile_levels"}
 _FLOAT_PARAMS = {"eta", "alpha_exp"}
+# Smallest sample sizes the estimators accept: cf_gap splits its replicates
+# into batches, and clt takes sample variances over replicates and batches.
+_MIN_SAMPLES = {("cf_gap", "replicates"): CF_GAP_BATCHES, ("clt", "replicates"): 2, ("clt", "batches"): 2}
 
 
 def _normalize_params(experiment: str, params: Mapping) -> dict:
@@ -100,7 +103,7 @@ def _normalize_params(experiment: str, params: Mapping) -> dict:
     for key, value in merged.items():
         try:
             if key in _INT_PARAMS:
-                merged[key] = _as_int(value, key, minimum=1)
+                merged[key] = _as_int(value, key, minimum=_MIN_SAMPLES.get((experiment, key), 1))
             elif key in _FLOAT_PARAMS:
                 merged[key] = _as_float(value, key)
             elif key in _INT_LIST_PARAMS:
@@ -327,7 +330,7 @@ def _experiment_independence(scenario: Scenario) -> tuple[dict, list[Row], list[
                                 profile=prof)
         _check(rows, violations, "joint", f"lags={lag_label} event={labels[t]}",
                rep.gap_estimate, None, scale * chained)
-    eps = epsilon_certificate(model, lags, profile=prof, base_events=family)
+    eps = epsilon_certificate(model, lags, base_events=family)
     _check(rows, violations, "epsilon", f"lags={lag_label}", eps, None, scale * chained)
     results = {
         "alpha": prof.alpha,
@@ -380,23 +383,10 @@ def _experiment_cf_gap(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
     return results, rows, violations
 
 
-# clt_convergence gives n_grid[i] the stream offset 2 + i, below its
-# Lindeberg offset 64. The exact remainder no longer draws from offset 32,
-# but the cap stays at 30 (offsets 2..31): it keeps the set of accepted
-# scenarios and the stream layout as they were, and leaves offset 32 free
-# for a Monte Carlo remainder cross-check without moving any other stream.
-MAX_CLT_N_GRID = 30
-
-
 def _experiment_clt(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
     model = scenario.model
     params = scenario.params
     scale = scenario.bound_scale
-    if len(params["n_grid"]) > MAX_CLT_N_GRID:
-        raise ConfigInvalid(
-            f"n_grid has {len(params['n_grid'])} entries; at most {MAX_CLT_N_GRID} "
-            "are allowed so that no two runs share a replicate stream"
-        )
     n_max = max(params["n_grid"])
     try:
         d = decompose(n_max, params["alpha_exp"], params["m"])

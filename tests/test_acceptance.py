@@ -105,7 +105,7 @@ def test_criterion_2_multiplicative_joint_envelope():
         prof = mixing_rate(model.chain, s_max=40)
         for lags in lag_sets:
             k = len(lags) + 1
-            eps = epsilon_certificate(model, lags, profile=prof)
+            eps = epsilon_certificate(model, lags)
             envelope = k * prof.c * prof.alpha ** sum(lags)
             if eps > envelope + 1e-12:
                 violations.append((mi, lags, eps, envelope))

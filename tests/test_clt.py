@@ -467,6 +467,39 @@ class TestCltConvergence:
         b = clt_convergence(bench_model, **kwargs)
         assert a.to_json_dict() == b.to_json_dict()
 
+    def test_matches_prefix_sums_of_one_path_set(self, bench_model):
+        # Every n is the prefix of one set of max(n_grid)-step stationary
+        # paths on stream offset 2; the pilot normalizer is on offset 1.
+        from scipy import stats
+
+        n_grid, replicates, seed, t_grid = (5, 40, 17, 40), 300, SeedSpec(61, 3), (0.5, 1.0, 2.0)
+        rep = clt_convergence(bench_model, n_grid, replicates=replicates, t_grid=t_grid,
+                              seed=seed, batches=60, lindeberg_replicates=1_000)
+        assert rep.normalizer == long_run_std_batch_means(bench_model, seed.child(1), batches=60)
+        chunks = iter_path_chunks(bench_model.stationary_start(), max(n_grid), replicates,
+                                  seed.child(2))
+        prefix = np.cumsum(np.concatenate([obs for _start, _states, obs in chunks]), axis=1)
+        mu = mixture_mean(bench_model)
+        for i, n in enumerate(n_grid):
+            y = (prefix[:, n - 1] - mu * n) / (rep.normalizer * math.sqrt(n))
+            cf = max(abs(np.mean(np.exp(1j * t * y)) - math.exp(-0.5 * t * t)) for t in t_grid)
+            assert rep.ks_distance[i] == pytest.approx(stats.kstest(y, "norm").statistic, rel=1e-12)
+            assert rep.cf_distance[i] == pytest.approx(cf, rel=1e-12)
+            assert rep.variance_ratio[i] == pytest.approx(np.var(y, ddof=1), rel=1e-12)
+
+    def test_cells_do_not_depend_on_grid_order_or_repeats(self, bench_model):
+        kwargs = dict(replicates=200, seed=SeedSpec(61, 4), batches=60, lindeberg_replicates=1_000)
+        base = clt_convergence(bench_model, (8, 32, 128), **kwargs)
+        other = clt_convergence(bench_model, (128, 8, 32, 8, 128), **kwargs)
+
+        def cells(rep):
+            return [(n, rep.ks_distance[i], rep.cf_distance[i], rep.variance_ratio[i],
+                     rep.variance_ratio_exact[i], rep.lindeberg_values[i].tolist())
+                    for i, n in enumerate(rep.n_grid)]
+
+        at_n = {cell[0]: cell for cell in cells(base)}
+        assert cells(other) == [at_n[n] for n in other.n_grid]
+
     def test_argument_errors(self, bench_model):
         with pytest.raises(ValueError):
             clt_convergence(bench_model, (16,))

@@ -355,7 +355,7 @@ class TestEnvelopes:
             family = default_event_family(model, (0.3, 0.7))
             for lags in [(1, 1), (2, 5), (4, 4)]:
                 bound = chained_gap_bound(prof, lags)
-                eps = epsilon_certificate(model, lags, profile=prof)
+                eps = epsilon_certificate(model, lags)
                 assert eps <= bound + 1e-12
             # Spot-check individual tuples too, not just the family max.
             for ev in family[:4]:
@@ -455,6 +455,23 @@ class TestEpsilonCertificate:
         # An explicit family is capped too: this 8-event tuple once gave 0.2798.
         with pytest.raises(TooManyEventsForExact):
             epsilon_certificate(bench_model, (1,) * 7, family=[(STATE1,) * 8])
+        # profile was accepted and never read; it is no longer a parameter.
+        with pytest.raises(TypeError):
+            epsilon_certificate(bench_model, (1,), profile=None)
+
+    def test_explicit_family_weighs_each_event_once(self, bench_model):
+        # An explicit family computes each distinct event's weights once for
+        # the whole family, not once per tuple, and scores every tuple.
+        base = default_event_family(bench_model, (0.25, 0.5, 0.75))
+        with mock.patch.object(RectEvent, "weights", autospec=True,
+                               side_effect=RectEvent.weights) as weights:
+            eps = epsilon_certificate(bench_model, (1, 2), family=itertools.product(base, repeat=3))
+        assert weights.call_count == len(set(base)) == len(base)
+        assert sorted(map(RectEvent.describe, (c.args[0] for c in weights.call_args_list))) == \
+            sorted(map(RectEvent.describe, base))
+        assert eps == pytest.approx(
+            epsilon_certificate(bench_model, (1, 2), base_events=base), rel=1e-12
+        )
 
     def test_exact_family_memory_preflight(self):
         # 60 quantile levels give 61 observation-only events, all weighing

@@ -12,7 +12,6 @@ from regimeclt.errors import BoundViolated, ConfigInvalid
 from regimeclt.independence import RectEvent, default_event_family, epsilon_certificate
 from regimeclt.runner import (
     EXPERIMENTS,
-    MAX_CLT_N_GRID,
     Scenario,
     load_scenario,
     run,
@@ -352,12 +351,16 @@ class TestRunScenario:
         with pytest.raises(ConfigInvalid, match="step approximation"):
             run_scenario(Scenario.from_json_dict(obj), tmp_path)
 
-    def test_clt_n_grid_length_keeps_streams_disjoint(self, tmp_path):
-        params = dict(FAST_CLT_PARAMS, n_grid=list(range(64, 64 + MAX_CLT_N_GRID + 1)))
+    def test_clt_n_grid_length_is_not_capped(self, tmp_path):
+        # Every n reads the prefix sums of one path set on one stream, so a
+        # 31-entry n_grid (once refused to keep per-n streams apart) runs.
+        params = dict(FAST_CLT_PARAMS, n_grid=list(range(64, 64 + 31)))
         s = Scenario.from_json_dict(scenario_dict(experiment="clt", params=params))
-        with pytest.raises(ConfigInvalid, match="n_grid"):
-            run_scenario(s, tmp_path)
-        assert MAX_CLT_N_GRID == 30
+        result = run_scenario(s, tmp_path)
+        assert result.status == 0
+        conv = result.report["results"]["convergence"]
+        assert conv["n_grid"] == params["n_grid"]
+        assert len(conv["ks_distance"]) == len(conv["variance_ratio"]) == 31
 
     def test_nonergodic_model_is_config_error(self, tmp_path):
         obj = scenario_dict()
@@ -559,6 +562,41 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config-invalid"
         assert "at most 6 events" in err["message"]
+
+    @pytest.mark.parametrize(
+        "experiment,params,flags,message",
+        [("cf_gap", {"replicates": 5}, [], "'replicates' must be >= 20"),
+         ("clt", dict(FAST_CLT_PARAMS, batches=1), [], "'batches' must be >= 2"),
+         ("clt", dict(FAST_CLT_PARAMS, replicates=1), [], "'replicates' must be >= 2"),
+         ("clt", FAST_CLT_PARAMS, ["--replicates", "1"], "'replicates' must be >= 2")],
+        ids=["cf_gap-replicates=5", "clt-batches=1", "clt-replicates=1", "clt-flag-replicates=1"],
+    )
+    def test_run_too_few_samples_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                 experiment, params, flags, message):
+        # Too few rows to batch, or to take a sample variance of, exit 1
+        # before any draw instead of crashing (exit 3) or writing NaN.
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the sample sizes were checked")
+
+        monkeypatch.setattr(SeedSpec, "block_rng", no_sampling)
+        path = write_scenario(tmp_path / "s.json", scenario_dict(experiment=experiment, params=params))
+        code = cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out"), *flags])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-invalid"
+        assert message in err["message"]
+
+    @pytest.mark.parametrize(
+        "experiment,params",
+        [("cf_gap", {"lags": [2], "t_grid": [1.0], "replicates": 20, "quantile_levels": [0.5]}),
+         ("clt", dict(FAST_CLT_PARAMS, replicates=2, batches=2))],
+        ids=["cf_gap", "clt"],
+    )
+    def test_run_smallest_sample_sizes_run(self, tmp_path, experiment, params):
+        path = write_scenario(tmp_path / "s.json", scenario_dict(experiment=experiment, params=params))
+        assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "t1" / "report.json").read_text())
+        assert "NaN" not in json.dumps(report)
 
     def test_run_bound_violation(self, tmp_path, capsys):
         path = write_scenario(
