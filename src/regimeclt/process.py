@@ -177,6 +177,16 @@ class Gaussian:
         val = (d**3 + 3.0 * d) * (2.0 * cum - 1.0) + 2.0 * (d * d + 2.0) * phi
         return self.sigma**3 * float(val)
 
+    def tail_second_moment(self, center: float, a: float) -> float:
+        # E[Y^2; Y > a] for Y = +-(X - center) ~ N(d, s^2), each tail directly.
+        s = self.sigma
+        total = 0.0
+        for d in (self.mu - center, center - self.mu):
+            z = (a - d) / s
+            phi = math.exp(-0.5 * z * z) / _SQRT_2PI
+            total += (s * s + d * d) * _ndtr(-z) + s * (a + d) * phi
+        return total
+
     def effective_support(self) -> tuple[float, float]:
         return (self.mu - 10.0 * self.sigma, self.mu + 10.0 * self.sigma)
 
@@ -224,6 +234,14 @@ class Uniform:
         if c >= b:
             return ((c - a) ** 4 - (c - b) ** 4) / (4.0 * w)
         return ((c - a) ** 4 + (b - c) ** 4) / (4.0 * w)
+
+    def tail_second_moment(self, center: float, a: float) -> float:
+        # int y^2 dy / w over [lo, hi] outside (-a, a]; an empty piece has y1 = y2.
+        lo, hi = self.a - center, self.b - center
+        total = 0.0
+        for y1, y2 in ((min(max(a, lo), hi), hi), (lo, max(min(-a, hi), lo))):
+            total += (y2 - y1) * (y2 * y2 + y1 * y2 + y1 * y1)
+        return total / (3.0 * (self.b - self.a))
 
     def effective_support(self) -> tuple[float, float]:
         return (self.a, self.b)
@@ -281,6 +299,17 @@ class ShiftedExponential:
         below = d**3 * m0 - 3.0 * d * d * m1 + 3.0 * d * m2 - m3
         above = 6.0 * e / lam**3
         return below + above
+
+    def tail_second_moment(self, center: float, a: float) -> float:
+        # g(t) = int_t^inf (x - center)^2 pdf(x) dx for t >= shift; the lower
+        # tail [shift, max(center - a, shift)] is empty when its ends meet.
+        def g(t):
+            y = t - center
+            return math.exp(-self.rate * (t - self.shift)) * (y * y + 2.0 * y / self.rate
+                                                                + 2.0 / self.rate**2)
+
+        lower = g(self.shift) - g(max(center - a, self.shift))
+        return g(max(center + a, self.shift)) + lower
 
     def effective_support(self) -> tuple[float, float]:
         return (self.shift, self.shift + 50.0 / self.rate)

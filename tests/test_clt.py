@@ -3,6 +3,8 @@ long-run variance, and the convergence report."""
 
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +36,6 @@ from regimeclt.process import (
     Uniform,
     iter_path_chunks,
     mixture_mean,
-    mixture_variance,
     sample_path,
 )
 from regimeclt.seeds import SeedSpec
@@ -237,23 +238,73 @@ class TestRemainderDiagnostic:
 _REMAINDER_CHAINS = random_chain_pool(20, seed=707, n_max=6)
 
 
+@pytest.fixture(scope="module")
+def workload_model() -> ModelSpec:
+    # The three-state model of bench/workloads.py: one emission of each family.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    return ModelSpec.from_json_dict(workloads.THREE_STATE_MODEL)
+
+
+def _tail_quad(component, lo: float, hi: float, center: float, a: float) -> float:
+    """int (x - center)^2 pdf(x) over {|x - center| > a} within [lo, hi], by quad.
+
+    The integral is split at the support ends, the two thresholds and the
+    component mean, so every piece is smooth and wholly in or out of the tail.
+    """
+    from scipy import integrate
+
+    cuts = sorted({lo, hi, center - a, center + a, component.mean})
+    cuts = [lo] + [c for c in cuts if lo < c < hi] + [hi]
+    total = 0.0
+    for x1, x2 in zip(cuts, cuts[1:]):
+        if x2 <= center - a or x1 >= center + a:
+            total += integrate.quad(lambda x: (x - center) ** 2 * float(component.pdf(x)), x1, x2,
+                                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return total
+
+
+_TAIL_CASES = [
+    (Gaussian(0.5, 1.3), -math.inf, math.inf, (-3.0, 0.5, 2.0), (0.0, 0.4, 3.0, 8.0)),
+    (Uniform(-1.0, 2.0), -1.0, 2.0, (-3.0, -1.0, 0.3, 2.0, 4.0), (0.0, 0.5, 1.7, 3.5, 10.0)),
+    (ShiftedExponential(0.7, 1.0), 1.0, math.inf, (-1.0, 1.0, 1.5, 4.0), (0.0, 0.3, 2.0, 6.0)),
+]
+
+
 class TestLindeberg:
-    def test_zero_threshold_is_variance_ratio(self, bench_model):
-        rep = lindeberg_check(
-            bench_model, (10,), (0.0, 0.5), replicates=100_000, seed=SeedSpec(21, 1)
-        )
-        assert abs(rep.values[0, 0] - 1.0) <= 4 * rep.std_errors[0, 0]
+    @pytest.mark.parametrize("component,lo,hi,centers,thresholds", _TAIL_CASES)
+    def test_tail_second_moment_matches_quadrature(self, component, lo, hi, centers, thresholds):
+        for center in centers:
+            for a in thresholds:
+                expected = _tail_quad(component, lo, hi, center, a)
+                got = component.tail_second_moment(center, a)
+                assert got == pytest.approx(expected, rel=1e-12, abs=0.0), (center, a)
+
+    def test_gaussian_far_tail_matches_norm_sf(self):
+        from scipy import stats
+
+        comp = Gaussian(0.5, 1.3)
+        for center, a in ((0.2, 14.0), (-2.0, 30.0), (3.0, 60.0)):
+            expected = 0.0
+            for d in (comp.mu - center, center - comp.mu):
+                z = (a - d) / comp.sigma
+                assert z > 10.0
+                expected += ((comp.sigma**2 + d * d) * stats.norm.sf(z)
+                             + comp.sigma * (a + d) * stats.norm.pdf(z))
+            assert comp.tail_second_moment(center, a) == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_threshold_is_variance_ratio(self, bench_model, uniform_model, workload_model):
+        for model in (bench_model, uniform_model, workload_model):
+            rep = lindeberg_check(model, (1, 10), (0.0,))
+            np.testing.assert_allclose(rep.values, 1.0, rtol=1e-12, atol=0.0)
 
     def test_bounded_emissions_vanish_exactly(self, uniform_model):
-        rep = lindeberg_check(
-            uniform_model, (100, 400), (0.5, 1.0), replicates=50_000, seed=SeedSpec(21, 2)
-        )
+        rep = lindeberg_check(uniform_model, (100, 400), (0.5, 1.0))
         np.testing.assert_array_equal(rep.values, np.zeros((2, 2)))
 
     def test_strictly_decreasing_in_n_for_gaussian(self, bench_model):
-        rep = lindeberg_check(
-            bench_model, (10, 100, 1000), (0.1,), replicates=200_000, seed=SeedSpec(21, 3)
-        )
+        rep = lindeberg_check(bench_model, (10, 100, 1000), (0.1,))
         col = rep.values[:, 0]
         assert col[0] > col[1] > col[2] > 0.0
 
@@ -261,38 +312,48 @@ class TestLindeberg:
         pi = bench_model.stationary()
         means = bench_model.emissions.means()
         sds = np.sqrt(bench_model.emissions.variances())
-        rep = lindeberg_check(
-            bench_model, (25,), (0.3,), replicates=400_000, seed=SeedSpec(21, 4)
-        )
-        threshold = 0.3 * rep.normalizer * math.sqrt(25)
-        expected = oracles.mixture_lindeberg_sum_gaussian(pi, means, sds, threshold)
-        assert abs(rep.values[0, 0] - expected) <= 4 * rep.std_errors[0, 0]
+        # (100, 1.5) puts both tails of both components past z = 10.
+        rep = lindeberg_check(bench_model, (25, 100), (0.3, 1.5))
+        for i, n in enumerate(rep.n_grid):
+            for j, eta in enumerate(rep.eta_grid):
+                threshold = eta * rep.normalizer * math.sqrt(n)
+                expected = oracles.mixture_lindeberg_sum_gaussian(pi, means, sds, threshold)
+                assert rep.values[i, j] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
-    def test_matches_sums_over_path_chunk_draws(self, bench_model):
-        # The sample is obs[:, 0] of one-step replicates started from the
-        # stationary law, whatever the model's own initial law.
-        model = ModelSpec(bench_model.chain, bench_model.emissions, initial=2)
-        n_grid, eta_grid, reps, seed = (1, 4, 9), (0.0, 0.3, 0.8), 3_000, SeedSpec(21, 5)
-        rep = lindeberg_check(model, n_grid, eta_grid, replicates=reps, seed=seed)
-        x = np.concatenate([obs[:, 0] for _start, _states, obs in iter_path_chunks(
-            model.stationary_start(), 1, reps, seed)])
-        dev = x - mixture_mean(model)
-        var = mixture_variance(model)
-        for i, n in enumerate(n_grid):
-            for j, eta in enumerate(eta_grid):
-                tail = np.where(np.abs(dev) > eta * math.sqrt(var * n), dev**2 / var, 0.0)
-                assert rep.values[i, j] == pytest.approx(tail.mean(), rel=1e-12, abs=1e-300)
-                assert rep.std_errors[i, j] == pytest.approx(tail.std() / math.sqrt(reps),
-                                                             rel=1e-12, abs=1e-300)
-        assert rep.values[0, 0] > rep.values[0, 1] > rep.values[2, 1] > rep.values[2, 2] > 0.0
+    @pytest.mark.parametrize("name", ["bench_model", "uniform_model", "workload_model"])
+    def test_agrees_with_monte_carlo_oracle(self, name, request):
+        # Thresholds reach 3 sigma, so every cell but the uniform model's
+        # beyond-support ones has sampled tail mass; those are 0 both ways.
+        model = request.getfixturevalue(name)
+        n_grid, eta_grid = (1, 4, 9), (0.0, 0.5, 1.0)
+        exact = lindeberg_check(model, n_grid, eta_grid)
+        mc = oracles.lindeberg_mc(model, n_grid, eta_grid, replicates=1_500_000,
+                                  seed=SeedSpec(21, 5))
+        assert exact.normalizer == mc.normalizer
+        assert np.all((mc.values > 0.0) | (exact.values == 0.0))
+        assert np.all(np.abs(exact.values - mc.values) <= 4.0 * mc.std_errors)
+
+    def test_workload_grid_nonincreasing_in_n_and_eta(self, workload_model):
+        rep = lindeberg_check(workload_model, (1000, 4000, 16000), (0.1, 0.5, 1.0))
+        assert np.all(np.diff(rep.values, axis=0) <= 0.0)
+        assert np.all(np.diff(rep.values, axis=1) <= 0.0)
+        assert rep.values[0, 0] == pytest.approx(0.0525015, rel=1e-6)
+        assert rep.values[2, 0] == pytest.approx(1.338e-7, rel=1e-3)
+
+    def test_draws_nothing(self, bench_model, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lindeberg_check drew a sample")
+
+        monkeypatch.setattr(SeedSpec, "block_rng", refuse)
+        lindeberg_check(bench_model, (10, 100), (0.1, 0.5))
 
     def test_argument_errors(self, bench_model):
         with pytest.raises(ValueError):
-            lindeberg_check(bench_model, (10,), (0.1,))
+            lindeberg_check(bench_model, (0,), (0.1,))
         with pytest.raises(ValueError):
-            lindeberg_check(bench_model, (0,), (0.1,), seed=SeedSpec(1))
-        with pytest.raises(ValueError):
-            lindeberg_check(bench_model, (10,), (-0.1,), seed=SeedSpec(1))
+            lindeberg_check(bench_model, (10,), (-0.1,))
+        with pytest.raises(TypeError):
+            lindeberg_check(bench_model, (10,), (0.1,), seed=SeedSpec(1))
 
 
 class TestLongRunVariance:
@@ -412,17 +473,17 @@ class TestConvergenceReport:
                 lindeberg_values=np.zeros((1, 1)), variance_ratio=(1.0,),
                 replicates=10, normalizer=1.0, eta_grid=(0.1,),
             )
-        with pytest.raises(ValueError):
-            ConvergenceReport(
-                n_grid=(10,), ks_distance=(0.5,), cf_distance=(0.1,),
-                lindeberg_values=np.zeros((1, 1)), variance_ratio=(0.0,),
-                replicates=10, normalizer=1.0, eta_grid=(0.1,),
-            )
+        for ratio in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                ConvergenceReport(
+                    n_grid=(10,), ks_distance=(0.5,), cf_distance=(0.1,),
+                    lindeberg_values=np.zeros((1, 1)), variance_ratio=(ratio,),
+                    replicates=10, normalizer=1.0, eta_grid=(0.1,),
+                )
 
     def test_json_dict_is_serializable(self, iid_model):
         rep = clt_convergence(
-            iid_model, (16, 64), replicates=300, seed=SeedSpec(60, 1),
-            batches=100, lindeberg_replicates=10_000,
+            iid_model, (16, 64), replicates=300, seed=SeedSpec(60, 1), batches=100,
         )
         text = json.dumps(rep.to_json_dict())
         again = json.loads(text)
@@ -432,8 +493,7 @@ class TestConvergenceReport:
 
     def test_exact_variance_ratio_uses_the_report_normalizer(self, bench_model):
         rep = clt_convergence(
-            bench_model, (16, 256, 4096), replicates=50, seed=SeedSpec(60, 2),
-            batches=100, lindeberg_replicates=1_000,
+            bench_model, (16, 256, 4096), replicates=50, seed=SeedSpec(60, 2), batches=100,
         )
         norm2 = rep.normalizer**2
         expected = [sum_variance_exact(bench_model, n) / (n * norm2) for n in rep.n_grid]
@@ -448,8 +508,7 @@ class TestConvergenceReport:
 class TestCltConvergence:
     def test_iid_sums_are_already_normal(self, iid_model):
         rep = clt_convergence(
-            iid_model, (8, 64), replicates=2_000, seed=SeedSpec(61, 1),
-            batches=400, lindeberg_replicates=50_000,
+            iid_model, (8, 64), replicates=2_000, seed=SeedSpec(61, 1), batches=400,
         )
         # Normalized iid Gaussian sums are exactly standard normal up to the
         # estimated normalizer, so only sampling noise remains.
@@ -459,10 +518,7 @@ class TestCltConvergence:
         assert max(rep.cf_distance) < 0.1
 
     def test_deterministic_in_seed(self, bench_model):
-        kwargs = dict(
-            n_grid=(16,), replicates=200, seed=SeedSpec(61, 2),
-            batches=60, lindeberg_replicates=5_000,
-        )
+        kwargs = dict(n_grid=(16,), replicates=200, seed=SeedSpec(61, 2), batches=60)
         a = clt_convergence(bench_model, **kwargs)
         b = clt_convergence(bench_model, **kwargs)
         assert a.to_json_dict() == b.to_json_dict()
@@ -474,7 +530,7 @@ class TestCltConvergence:
 
         n_grid, replicates, seed, t_grid = (5, 40, 17, 40), 300, SeedSpec(61, 3), (0.5, 1.0, 2.0)
         rep = clt_convergence(bench_model, n_grid, replicates=replicates, t_grid=t_grid,
-                              seed=seed, batches=60, lindeberg_replicates=1_000)
+                              seed=seed, batches=60)
         assert rep.normalizer == long_run_std_batch_means(bench_model, seed.child(1), batches=60)
         chunks = iter_path_chunks(bench_model.stationary_start(), max(n_grid), replicates,
                                   seed.child(2))
@@ -488,7 +544,7 @@ class TestCltConvergence:
             assert rep.variance_ratio[i] == pytest.approx(np.var(y, ddof=1), rel=1e-12)
 
     def test_cells_do_not_depend_on_grid_order_or_repeats(self, bench_model):
-        kwargs = dict(replicates=200, seed=SeedSpec(61, 4), batches=60, lindeberg_replicates=1_000)
+        kwargs = dict(replicates=200, seed=SeedSpec(61, 4), batches=60)
         base = clt_convergence(bench_model, (8, 32, 128), **kwargs)
         other = clt_convergence(bench_model, (128, 8, 32, 8, 128), **kwargs)
 
@@ -500,8 +556,18 @@ class TestCltConvergence:
         at_n = {cell[0]: cell for cell in cells(base)}
         assert cells(other) == [at_n[n] for n in other.n_grid]
 
-    def test_argument_errors(self, bench_model):
+    def test_argument_errors(self, bench_model, monkeypatch):
         with pytest.raises(ValueError):
             clt_convergence(bench_model, (16,))
-        with pytest.raises(ValueError):
-            clt_convergence(bench_model, (0,), seed=SeedSpec(1))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("clt_convergence drew before refusing its arguments")
+
+        # Each refusal comes before any draw; one replicate has no sample variance.
+        monkeypatch.setattr(SeedSpec, "block_rng", refuse)
+        for kwargs in (dict(n_grid=(0,)), dict(n_grid=(16,), eta_grid=(-0.1,)),
+                       dict(n_grid=(16, 64), replicates=1), dict(n_grid=(16,), replicates=0)):
+            with pytest.raises(ValueError):
+                clt_convergence(bench_model, seed=SeedSpec(1), **kwargs)
+        with pytest.raises(TypeError):
+            clt_convergence(bench_model, (16,), seed=SeedSpec(1), lindeberg_replicates=1_000)

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +48,8 @@ def write_scenario(path, obj) -> str:
     path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
 
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 FAST_CLT_PARAMS = {
     "n_grid": [16, 64],
@@ -460,6 +463,16 @@ class TestVerifyAll:
     def test_missing_suite_dir(self, tmp_path):
         with pytest.raises(ConfigInvalid):
             verify_all(tmp_path / "nope", tmp_path / "out")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_shipped_suites(self, tmp_path):
+        # A numpy RuntimeWarning (say, a NaN from an empty sample) becomes an
+        # error, which the sweep records as status 3.
+        shipped = verify_all(SCENARIOS, tmp_path / "shipped")
+        assert len(shipped.entries) == 5
+        assert shipped.exit_code == 0, shipped.entries
+        faults = verify_all(SCENARIOS / "faults", tmp_path / "faults")
+        assert faults.exit_code == 2, faults.entries
 
     def test_does_not_recurse(self, tmp_path):
         suite = tmp_path / "suite"
