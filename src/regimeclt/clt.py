@@ -236,8 +236,8 @@ def lindeberg_check(model: ModelSpec, n_grid, eta_grid) -> LindebergReport:
     """
     n_grid = tuple(int(v) for v in n_grid)
     eta_grid = tuple(float(v) for v in eta_grid)
-    if any(v < 1 for v in n_grid) or any(v < 0.0 for v in eta_grid):
-        raise ValueError("n_grid entries must be >= 1 and eta_grid entries >= 0")
+    if any(v < 1 for v in n_grid) or any(not 0.0 <= v < math.inf for v in eta_grid):
+        raise ValueError("n_grid entries must be >= 1 and eta_grid entries finite and >= 0")
     pi = model.stationary()
     mu = mixture_mean(model)
     var = mixture_variance(model)

@@ -350,8 +350,9 @@ class TestLindeberg:
     def test_argument_errors(self, bench_model):
         with pytest.raises(ValueError):
             lindeberg_check(bench_model, (0,), (0.1,))
-        with pytest.raises(ValueError):
-            lindeberg_check(bench_model, (10,), (-0.1,))
+        for eta in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                lindeberg_check(bench_model, (10,), (eta,))
         with pytest.raises(TypeError):
             lindeberg_check(bench_model, (10,), (0.1,), seed=SeedSpec(1))
 
