@@ -24,12 +24,8 @@ from .errors import ConfigInvalid
 from .process import ModelSpec, iter_path_chunks, mixture_mean, mixture_variance
 from .seeds import SeedSpec
 
-STEP_CHECK_POINTS = 10_000
 # Batches behind a sampled cf gap's standard error; each takes at least one replicate.
 CF_GAP_BATCHES = 20
-# Cells in 2^30 bytes at 48 bytes per cell (breakpoints, midpoints and two
-# complex arrays): the largest step approximation that is built.
-_MAX_STEP_CELLS = 2**30 // 48
 
 
 @dataclass(frozen=True)
@@ -81,87 +77,73 @@ def ecf(samples, t_grid) -> EcfEstimate:
 
 @dataclass(frozen=True)
 class StepApproximation:
-    """Step-function approximation of x -> exp(i t x) on [-M, M].
+    """Step-function approximation of x -> exp(i t x) on [-radius, radius].
 
-    Cells are half-open (b_j, b_{j+1}] except the first, which includes its
-    left endpoint; outside the truncation interval the function is 0. Every
-    coefficient has modulus <= 1 and the verified sup error over a dense
-    grid is at most eta.
+    The interval is cut into n_cells cells of width w = 2 radius / n_cells,
+    half-open (b_j, b_{j+1}] except the first, which includes its left
+    endpoint; each cell takes the value of exp(itx) at its midpoint, and
+    outside the interval the function is 0. The error on the interval is
+    |1 - exp(i t w / 2)| = 2 sin(min(|t| w / 4, pi / 2)), reached at the
+    cell ends. Breakpoints and coefficients are derived on demand.
     """
 
     t: float
     eta: float
-    breakpoints: NDArray[np.float64]
-    coefficients: NDArray[np.complex128]
-    sup_error: float
+    radius: float
+    n_cells: int
 
     def __post_init__(self) -> None:
-        bp = np.asarray(self.breakpoints, dtype=np.float64)
-        co = np.asarray(self.coefficients, dtype=np.complex128)
-        if bp.ndim != 1 or bp.size < 2 or co.shape != (bp.size - 1,):
-            raise ValueError("need m+1 breakpoints and m coefficients")
-        if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if np.any(np.abs(co) > 1.0 + 1e-12):
-            raise ValueError("coefficients must have modulus <= 1")
-        if not 0.0 <= self.sup_error <= self.eta:
-            raise ValueError("verified sup error must not exceed eta")
-        bp.setflags(write=False)
-        co.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "coefficients", co)
+        if not (self.radius > 0.0 and math.isfinite(self.radius)):
+            raise ValueError("truncation radius must be positive and finite")
+        if self.n_cells < 1:
+            raise ValueError("need at least one cell")
 
     @property
-    def n_cells(self) -> int:
-        return self.coefficients.size
+    def width(self) -> float:
+        return 2.0 * self.radius / self.n_cells
+
+    @property
+    def sup_error(self) -> float:
+        return 2.0 * math.sin(min(abs(self.t) * self.width / 4.0, math.pi / 2.0))
+
+    @property
+    def breakpoints(self) -> NDArray[np.float64]:
+        return np.linspace(-self.radius, self.radius, self.n_cells + 1)
+
+    @property
+    def coefficients(self) -> NDArray[np.complex128]:
+        bp = self.breakpoints
+        return np.exp(1j * self.t * (0.5 * (bp[:-1] + bp[1:])))
 
     def __call__(self, x) -> NDArray[np.complex128]:
         x = np.asarray(x, dtype=np.float64)
-        idx = np.clip(np.searchsorted(self.breakpoints, x, side="left") - 1, 0, self.n_cells - 1)
-        out = self.coefficients[idx]
-        inside = (x >= self.breakpoints[0]) & (x <= self.breakpoints[-1])
-        return np.where(inside, out, 0.0 + 0.0j)
+        cells = np.clip(np.ceil((x + self.radius) / self.width) - 1, 0, self.n_cells - 1)
+        mids = (cells + 0.5) * self.width - self.radius
+        inside = (x >= -self.radius) & (x <= self.radius)
+        return np.where(inside, np.exp(1j * self.t * mids), 0.0 + 0.0j)
 
 
 def build_step_approximation(t: float, eta: float, radius: float) -> StepApproximation:
     """Step approximation of exp(itx) on [-radius, radius] with sup error < eta.
 
-    Cell width is at most eta / (|t| + 1) and each coefficient is the value
-    of exp(itx) at the cell midpoint. For t = 0 a single cell with
-    coefficient 1 is exact.
+    It has max(1, ceil(2 radius / (eta / (|t| + 1)))) equal cells of width
+    w, so its error is at most |t| w / 2 < eta / 2, and 0 at t = 0.
 
     Raises
     ------
     ConfigInvalid
-        If the cells would take more than 2^30 bytes; nothing is allocated.
+        If the cell count is not finite (eta far below the radius's scale).
     """
     if eta <= 0.0:
         raise ValueError("eta must be positive")
     if not (radius > 0.0 and math.isfinite(radius)):
         raise ValueError("truncation radius must be positive and finite")
-    if t == 0.0:
-        breakpoints = np.array([-radius, radius])
-        coefficients = np.array([1.0 + 0.0j])
-    else:
-        width_max = eta / (abs(t) + 1.0)
-        cells = 2.0 * radius / width_max  # may be inf; checked before int()
-        if cells > _MAX_STEP_CELLS:
-            raise ConfigInvalid(f"step approximation at t={t!r}, eta={eta!r}, radius "
-                                f"{radius!r} needs {cells:.3g} cells, over 2^30 bytes")
-        n_cells = max(1, int(math.ceil(cells)))
-        breakpoints = np.linspace(-radius, radius, n_cells + 1)
-        mids = 0.5 * (breakpoints[:-1] + breakpoints[1:])
-        coefficients = np.exp(1j * t * mids)
-
-    grid = np.linspace(-radius, radius, STEP_CHECK_POINTS)
-    idx = np.clip(np.searchsorted(breakpoints, grid, side="left") - 1, 0, coefficients.size - 1)
-    sup_error = float(np.max(np.abs(coefficients[idx] - np.exp(1j * t * grid))))
-    if sup_error > eta:
-        raise ValueError(f"constructed approximation misses target accuracy: {sup_error} > {eta}")
-    return StepApproximation(
-        t=float(t), eta=float(eta), breakpoints=breakpoints,
-        coefficients=coefficients, sup_error=sup_error,
-    )
+    cells = 2.0 * radius / (eta / (abs(t) + 1.0))
+    if not math.isfinite(cells):
+        raise ConfigInvalid(f"step approximation at t={t!r}, eta={eta!r}, radius "
+                            f"{radius!r} needs {cells} cells")
+    return StepApproximation(t=float(t), eta=float(eta), radius=float(radius),
+                             n_cells=max(1, math.ceil(cells)))
 
 
 def truncation_radius(model: ModelSpec, eta: float) -> float:

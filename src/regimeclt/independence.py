@@ -29,7 +29,7 @@ from numpy.typing import NDArray
 
 from .chain import MixingProfile, mixing_rate
 from .errors import ConfigInvalid, EmptyConditioningEvent, TooManyEventsForExact
-from .process import ModelSpec, iter_path_chunks, mixture_quantile
+from .process import CHUNK_ELEMENTS, ModelSpec, iter_path_chunks, mixture_quantile
 from .seeds import SeedSpec
 
 MAX_EXACT_EVENTS = 6
@@ -333,12 +333,13 @@ def epsilon_certificate(
 
     The exact gap is multilinear in the events' weight vectors: an event
     weighing s v, with 0 <= s <= 1 and v another pool event's weights, gives
-    s times the gap of the same tuple with v in its place. The exact route
-    over a pool (default or base_events) therefore scores only the pool's
-    undominated events, which gives the same maximum; for the default pool
-    these are the full-line regime events and the full space. An explicit
-    family is evaluated tuple by tuple as given, weighing each distinct
-    event once.
+    s times the gap of the same tuple with v in its place. A pool (default
+    or base_events) is therefore pruned to its undominated events before
+    either method scores it: the true maximum lies on them, so the exact
+    value is unchanged and the Monte Carlo value stays conservative. For the
+    default pool these are the full-line regime events and the full space.
+    An explicit family is evaluated tuple by tuple as given, weighing each
+    distinct event once. A pool or family with nothing to score gives 0.
     """
     if len(lags) == 0:
         raise ValueError("at least one lag is required")
@@ -351,9 +352,11 @@ def epsilon_certificate(
 
     if family is None:
         base = default_event_family(model) if base_events is None else tuple(base_events)
+        weights = np.stack([ev.weights(model) for ev in base])
+        keep = _undominated(weights)
         if method == "exact":
-            return _epsilon_exact_product_family(model, base, lags)
-        family = itertools.product(base, repeat=k)
+            return _epsilon_exact_product_family(model, weights[keep], lags)
+        family = itertools.product(itertools.compress(base, keep), repeat=k)
 
     if method == "exact":
         rows: dict[RectEvent, NDArray[np.float64]] = {}
@@ -370,33 +373,32 @@ def epsilon_certificate(
         raise ValueError("method must be 'exact' or 'mc'")
     if seed is None:
         raise ValueError("Monte Carlo evaluation requires a seed")
-    gaps, std_errors = _mc_tuple_gaps(model, list(family), lags, replicates, seed)
+    family = list(family)
+    if not family:
+        return 0.0
+    gaps, std_errors = _mc_tuple_gaps(model, family, lags, replicates, seed)
     return float(np.max(gaps + 3.0 * std_errors))
 
 
 def _epsilon_exact_product_family(
-    model: ModelSpec, base: Sequence[RectEvent], lags: tuple[int, ...]
+    model: ModelSpec, w: NDArray[np.float64], lags: tuple[int, ...]
 ) -> float:
-    """Exact max gap over all tuples of the base family, shared-prefix DP.
+    """Exact max gap over all tuples of B events, shared-prefix DP.
 
-    The base is first pruned to its undominated events (`_undominated`),
-    which by multilinearity of the gap leaves the maximum unchanged.
-
-    Per leading event, `_joint` shares every tuple prefix's propagated state
-    vector, so the pruned family of B events costs O(B^(k-2)) vectorised
-    steps per leading event instead of B^k independent evaluations, and at
-    most B^(k-2) max(N, B) values are held.
+    w (B, N) holds the weights of a pool's undominated events. Per leading
+    event, `_joint` shares every tuple prefix's propagated state vector, so
+    the tuples cost O(B^(k-2)) vectorised steps per leading event instead
+    of B^k independent evaluations, and at most B^(k-2) max(N, B) values
+    are held.
 
     Raises
     ------
     ConfigInvalid
-        If those B^(k-2) max(N, B) float64 values, counted over the pruned
-        base, would exceed MAX_EXACT_CERTIFICATE_BYTES; nothing beyond the
-        base's weights is allocated in that case.
+        If those B^(k-2) max(N, B) float64 values would exceed
+        MAX_EXACT_CERTIFICATE_BYTES; nothing beyond the weights is allocated
+        in that case.
     """
-    n_states = model.n_states
-    w = _undominated(np.stack([ev.weights(model) for ev in base]))  # (B, N)
-    n_base = w.shape[0]
+    n_base, n_states = w.shape
     needed = n_base ** (len(lags) - 1) * max(n_states, n_base) * 8
     if needed > MAX_EXACT_CERTIFICATE_BYTES:
         raise ConfigInvalid(
@@ -416,14 +418,14 @@ def _epsilon_exact_product_family(
     return best
 
 
-def _undominated(w: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Rows of w (B, N) that the exact certificate must score.
+def _undominated(w: NDArray[np.float64]) -> NDArray[np.bool_]:
+    """Mask of the rows of w (B, N) that a pool certificate must score.
 
     The gap is multilinear in each event's weights, so in any tuple a row
-    s v with 0 <= s <= 1 gives s times the gap of row v. Kept, in their
-    original order: every row with two or more positive entries and, per
-    regime j, the first row of largest weight among the rows positive on j
-    alone. All-zero rows are dropped.
+    s v with 0 <= s <= 1 gives s times the gap of row v. Kept: every row
+    with two or more positive entries and, per regime j, the first row of
+    largest weight among the rows positive on j alone. All-zero rows are
+    dropped.
     """
     n_rows, n_states = w.shape
     support = np.count_nonzero(w, axis=1)
@@ -437,7 +439,7 @@ def _undominated(w: NDArray[np.float64]) -> NDArray[np.float64]:
     np.minimum.at(first, regime[rows], rows)
     keep = support > 1
     keep[first[first < n_rows]] = True
-    return w[keep]
+    return keep
 
 
 def _mc_tuple_gaps(
@@ -450,9 +452,12 @@ def _mc_tuple_gaps(
     """Monte Carlo gap and standard error of every tuple in the family.
 
     All tuples share one set of stationary replicate paths, and each
-    distinct event at each position is evaluated once per chunk. The error
-    is the binomial standard error of the joint rate combined in quadrature
-    with the delta-method error of the product of marginal rates.
+    distinct event at each position is evaluated once per chunk. A chunk
+    holds at most 2^24 / len(family) replicates, so its (replicates, tuples)
+    joint indicators stay near 2^24 booleans however many replicates are
+    drawn; chunking does not change the result. The error is the binomial
+    standard error of the joint rate combined in quadrature with the
+    delta-method error of the product of marginal rates.
     """
     k = len(lags) + 1
     if any(len(events) != k for events in family):
@@ -467,9 +472,12 @@ def _mc_tuple_gaps(
 
     joint_hits = np.zeros(len(family), dtype=np.int64)
     marg_hits = [np.zeros(len(events), dtype=np.int64) for events in slots]
+    n = int(t_idx[-1]) + 1
+    # A replicate draws 2n + 1 uniforms.
+    max_elements = min(CHUNK_ELEMENTS, max(1, 2**24 // len(family)) * (2 * n + 1))
     stationary = model.stationary_start()
-    for _start, states, obs in iter_path_chunks(stationary, int(t_idx[-1]) + 1, replicates, seed,
-                                                times=t_idx):
+    for _start, states, obs in iter_path_chunks(stationary, n, replicates, seed, times=t_idx,
+                                                max_elements=max_elements):
         joint = True
         for r, events in enumerate(slots):
             cols = states[:, t_idx[r]], obs[:, r]

@@ -37,6 +37,8 @@ from .seeds import REPLICATE_BLOCK, SeedSpec
 _QUANTILE_HALVINGS = 100
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
+# Default cap on the uniforms one iter_path_chunks chunk draws (80 MB).
+CHUNK_ELEMENTS = 10_000_000
 # _walk buckets the transition uniforms, and iter_path_chunks transforms the
 # observation uniforms, in slabs of about this many elements, so their scratch
 # stays near 2 MiB whatever the (paths, steps) shape.
@@ -621,7 +623,7 @@ def iter_path_chunks(
     n: int,
     n_paths: int,
     seed: SeedSpec,
-    max_elements: int = 10_000_000,
+    max_elements: int = CHUNK_ELEMENTS,
     times=None,
 ) -> Iterator[tuple[int, NDArray[np.int16], NDArray[np.float64]]]:
     """Simulate many replicate paths, yielding (start_index, states, obs) chunks.

@@ -263,13 +263,9 @@ Row = tuple[str, str, float, float | None, float | None]
 
 
 def _check(rows: list[Row], violations: list[str], section: str, label: str,
-           value: float, std_error: float | None, bound: float | None,
-           se_slack: float = 3.0) -> None:
+           value: float, std_error: float | None, bound: float | None) -> None:
     rows.append((section, label, value, std_error, bound))
-    if bound is None:
-        return
-    allowance = bound + BOUND_SLACK + (0.0 if std_error is None else se_slack * std_error)
-    if value > allowance:
+    if bound is not None and value > bound + BOUND_SLACK:
         violations.append(f"{section}[{label}]: value {value!r} exceeds bound {bound!r}")
 
 
@@ -370,7 +366,7 @@ def _experiment_cf_gap(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
     for t, gap, se in zip(rep.t_grid, rep.gaps, rep.std_errors):
         # 4 SE is part of the stated envelope, not extra noise allowance.
         _check(rows, violations, "cf_gap", f"t={float(t)!r}", float(gap), float(se),
-               scale * (2.0 * eps + 4.0 * float(se)), se_slack=0.0)
+               scale * (2.0 * eps + 4.0 * float(se)))
     for t, approx in zip(params["t_grid"], approximations):
         _check(rows, violations, "step", f"t={t!r} cells={approx.n_cells}",
                approx.sup_error, None, scale * params["eta"])

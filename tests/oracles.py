@@ -227,16 +227,6 @@ def abs_third_moment_quad(pdf, lo: float, hi: float, center: float) -> float:
     return float(val)
 
 
-def gaussian_truncated_second_moment(sd: float, threshold: float) -> float:
-    """E[Y^2 1{|Y| > u}] for the centered Y ~ N(0, sd^2).
-
-    Equals sd^2 (2(1 - Phi(b)) + 2 b phi(b)) with b = u / sd.
-    """
-    b = threshold / sd
-    phi = math.exp(-0.5 * b * b) / math.sqrt(2.0 * math.pi)
-    return sd * sd * (2.0 * (1.0 - stats.norm.cdf(b)) + 2.0 * b * phi)
-
-
 def noncentral_truncated_second_moment(mu: float, sd: float, lo_cut: float) -> float:
     """E[Y^2 1{Y > a}] for Y ~ N(mu, sd^2) in closed form."""
     beta = (lo_cut - mu) / sd

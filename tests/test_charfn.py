@@ -61,6 +61,16 @@ class TestStepApproximation:
         assert err <= eta
         assert sa.sup_error <= eta
 
+    @pytest.mark.parametrize("t", [0.5, 1.0, -2.0, 3.0])
+    def test_sup_error_is_the_error_at_the_cell_ends(self, t):
+        # Every cell's worst point is an end, half a width from its midpoint.
+        sa = build_step_approximation(t, 0.05, radius=1.0)
+        ends = sa.breakpoints
+        err = np.abs(sa(ends) - np.exp(1j * t * ends))
+        np.testing.assert_allclose(err, sa.sup_error, rtol=0.0, atol=1e-15)
+        x = np.random.default_rng(12).uniform(-1.0, 1.0, 100_000)
+        assert np.max(np.abs(sa(x) - np.exp(1j * t * x))) <= sa.sup_error
+
     def test_cell_count_and_width(self):
         t, eta, radius = 1.5, 0.05, 6.0
         sa = build_step_approximation(t, eta, radius)
@@ -70,9 +80,9 @@ class TestStepApproximation:
 
     def test_zero_frequency_is_exact(self):
         sa = build_step_approximation(0.0, 0.01, radius=5.0)
-        assert sa.n_cells == 1
         assert sa.sup_error == 0.0
-        np.testing.assert_array_equal(sa(np.array([-4.9, 0.0, 4.9])), np.ones(3))
+        x = np.concatenate([[-5.0, 5.0], np.random.default_rng(13).uniform(-5.0, 5.0, 1_000)])
+        np.testing.assert_array_equal(sa(x), np.ones(x.size))
 
     def test_zero_outside_truncation(self):
         sa = build_step_approximation(1.0, 0.1, radius=3.0)
@@ -87,31 +97,32 @@ class TestStepApproximation:
             build_step_approximation(1.0, 0.1, math.inf)
 
     def test_memory_preflight(self, bench_model):
-        # eta = 1e-12 asks for about 4e18 cells on the benchmark radius.
+        # eta = 1e-12 asks for about 4e18 cells on the benchmark radius; the
+        # record holds their count, and evaluating it finds cells by arithmetic.
         eta = 1e-12
         radius = truncation_radius(bench_model, eta)
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigInvalid, match="cells"):
-                build_step_approximation(0.5, eta, radius)
+            sa = build_step_approximation(0.5, eta, radius)
+            values = sa(np.linspace(-radius, radius, 1001))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+        assert sa.n_cells == max(1, math.ceil(2.0 * radius / (eta / 1.5))) > 10**18
+        assert 0.0 < sa.sup_error < eta
+        np.testing.assert_allclose(np.abs(values), 1.0, rtol=1e-15)
         assert build_step_approximation(1.0, 1e-3, 10.0).n_cells == 40_000
+        # A cell count that overflows to inf is refused.
+        with pytest.raises(ConfigInvalid, match="cells"):
+            build_step_approximation(0.5, 1e-300, truncation_radius(bench_model, 1e-300))
 
     def test_record_validation(self):
-        bp = np.array([0.0, 1.0, 0.5])
-        with pytest.raises(ValueError):
-            StepApproximation(1.0, 0.1, bp, np.ones(2, dtype=complex), 0.05)
-        with pytest.raises(ValueError):
-            StepApproximation(
-                1.0, 0.1, np.array([0.0, 1.0]), np.array([2.0 + 0.0j]), 0.05
-            )
-        with pytest.raises(ValueError):
-            StepApproximation(
-                1.0, 0.1, np.array([0.0, 1.0]), np.array([1.0 + 0.0j]), 0.2
-            )
+        assert StepApproximation(1.0, 0.1, 2.0, 3).width == 4.0 / 3
+        for radius, n_cells in [(0.0, 3), (-1.0, 3), (math.inf, 3), (math.nan, 3),
+                                (2.0, 0), (2.0, -1)]:
+            with pytest.raises(ValueError):
+                StepApproximation(1.0, 0.1, radius, n_cells)
 
 
 class TestTruncationRadius:

@@ -437,6 +437,40 @@ class TestEpsilonCertificate:
         assert mc >= exact
         assert mc <= exact + 0.03
 
+    def test_mc_pool_certificate_memory(self):
+        # Unpruned, the 31-event default pool gave a (replicates, 31^3)
+        # boolean matrix per position: 174 MiB at 2,000 replicates.
+        model = _three_family_model()
+        tracemalloc.start()
+        try:
+            eps = epsilon_certificate(model, [5, 5], method="mc", replicates=2_000,
+                                      seed=SeedSpec(1, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert eps > 0.0
+        assert peak < 16 * 2**20
+
+    def test_mc_pool_scores_the_undominated_events(self):
+        model = _three_family_model()
+        base = default_event_family(model)
+        survivors = [ev for ev in base if ev.lo == -math.inf and ev.hi == math.inf]
+        assert len(survivors) == 4 < len(base)
+        kwargs = dict(method="mc", replicates=3_000, seed=SeedSpec(5, 2))
+        pool = epsilon_certificate(model, (2, 3), **kwargs)
+        explicit = epsilon_certificate(
+            model, (2, 3), family=itertools.product(survivors, repeat=3), **kwargs
+        )
+        assert pool == explicit
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_all_zero_pool_gives_zero(self, method):
+        # Regime 2 emits on (-0.5, 1.5], so neither event can occur.
+        model = _three_family_model()
+        base = [RectEvent(frozenset({2}), 5.0, 6.0), RectEvent(frozenset({2}), -9.0, -8.0)]
+        assert epsilon_certificate(model, (2,), base_events=base, method=method,
+                                   replicates=500, seed=SeedSpec(3, 1)) == 0.0
+
     def test_argument_errors(self, bench_model):
         with pytest.raises(ValueError):
             epsilon_certificate(bench_model, ())

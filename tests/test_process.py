@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 import oracles
 from regimeclt import process
 from regimeclt.chain import TransitionMatrix
+from regimeclt.charfn import cf_factorization_gap
+from regimeclt.clt import clt_convergence, long_run_std_batch_means
 from regimeclt.errors import InvalidModel, ZeroLikelihood
+from regimeclt.independence import RectEvent, joint_product_gap
 from regimeclt.process import (
     EmissionSpec,
     Gaussian,
@@ -192,6 +195,35 @@ class TestModelSpec:
         for model in (bench_model, uniform_model):
             again = ModelSpec.from_json(model.to_json())
             assert again.to_json_dict() == model.to_json_dict()
+
+    @pytest.mark.parametrize("initial,form", [(2, {"fixed_state": 2}),
+                                              ((0.25, 0.75), {"probs": [0.25, 0.75]})])
+    def test_json_round_trip_of_a_non_stationary_start(self, bench_model, initial, form):
+        model = dataclasses.replace(bench_model, initial=initial)
+        assert model.to_json_dict()["initial"] == form
+        again = ModelSpec.from_json(model.to_json())
+        assert again == model and again.initial == initial
+        assert again.to_json() == model.to_json()
+
+    def test_stationary_routes_ignore_the_initial_law(self, bench_model):
+        # These routes sample model.stationary_start(), so a model started
+        # from a fixed regime gives the bits of its stationary twin.
+        started = dataclasses.replace(bench_model, initial=2)
+        twin = started.stationary_start()
+        assert twin == bench_model and twin.chain is started.chain
+        seed = SeedSpec(41, 2)
+        events = [RectEvent(frozenset({1}), -np.inf, 0.0), RectEvent(frozenset({1, 2}), 0.5)]
+
+        def outputs(model):
+            cf = cf_factorization_gap(model, (2, 3), [0.5, 1.0], replicates=400, seed=seed)
+            gap = joint_product_gap(model, events, (3,), method="mc", replicates=2_000, seed=seed)
+            sd = long_run_std_batch_means(model, seed, batches=50)
+            conv = clt_convergence(model, [16, 64], replicates=100, seed=seed, batches=50)
+            return [np.asarray(getattr(rep, f.name)) for rep in (cf, gap, conv)
+                    for f in dataclasses.fields(rep)] + [np.asarray(sd)]
+
+        for a, b in zip(outputs(started), outputs(twin), strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_equal_by_value_and_hash_equal(self, bench_model):
         a = ModelSpec.from_json(bench_model.to_json())

@@ -1,6 +1,7 @@
 """Tests for scenario parsing, experiment runs, artifacts, and the CLI."""
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -151,6 +152,17 @@ class TestScenarioValidation:
         assert a.content_hash() == b.content_hash()
         c = Scenario.from_json_dict(scenario_dict(seed=8))
         assert c.content_hash() != a.content_hash()
+
+    @pytest.mark.parametrize("initial", [{"fixed_state": 2}, {"probs": [0.25, 0.75]}])
+    def test_non_stationary_initial_round_trip(self, initial):
+        obj = scenario_dict()
+        obj["model"] = dict(obj["model"], initial=initial)
+        s = Scenario.from_json_dict(obj)
+        assert s.to_json_dict()["model"]["initial"] == initial
+        again = Scenario.from_json_dict(json.loads(s.canonical_json()))
+        assert again.model == s.model
+        assert again.content_hash() == s.content_hash()
+        assert s.content_hash() != Scenario.from_json_dict(scenario_dict()).content_hash()
 
 
 class TestLoadScenario:
@@ -341,16 +353,35 @@ class TestRunScenario:
          ({"family": "gaussian", "mu": 1.0, "sigma": 1.0}, 1e-12)],
         ids=["mu=1e15", "eta=1e-12"],
     )
-    def test_cf_gap_step_preflight_refuses_before_sampling(self, tmp_path, monkeypatch,
-                                                           emission, eta):
+    def test_cf_gap_runs_with_huge_step_cell_counts(self, tmp_path, monkeypatch, emission, eta):
+        # Both ask for more than 1e16 cells, which the step record only counts.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import oracle
+
+        obj = scenario_dict(experiment="cf_gap", params={"eta": eta, "replicates": 2000})
+        obj["model"]["emissions"] = [obj["model"]["emissions"][0], emission]
+        result = run_scenario(Scenario.from_json_dict(obj), tmp_path)
+        assert result.status == 0
+        rows = oracle.read_rows(result.csv_path.read_text(encoding="utf-8"))
+        # The oracle's own radius can differ in its last bits, and with it
+        # a 1e17 cell count; its sup-error bounds must hold.
+        errors = oracle.check_short_paths(result.report["scenario"], result.report, rows)
+        assert [e for e in errors if e.startswith("step t=")] == []
+        radius = result.report["results"]["truncation_radius"]
+        t_grid = result.report["scenario"]["params"]["t_grid"]
+        labels = [row["label"] for row in rows if row["section"] == "step"]
+        assert labels == [f"t={t!r} cells={math.ceil(2.0 * radius / (eta / (abs(t) + 1.0)))}"
+                          for t in t_grid]
+
+    def test_cf_gap_step_refusal_comes_before_sampling(self, tmp_path, monkeypatch):
         import regimeclt.runner as runner_mod
 
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the step approximation was checked")
 
         monkeypatch.setattr(runner_mod, "cf_factorization_gap", no_sampling)
-        obj = scenario_dict(experiment="cf_gap", params={"eta": eta, "replicates": 2000})
-        obj["model"]["emissions"] = [obj["model"]["emissions"][0], emission]
+        # The cell count overflows to inf.
+        obj = scenario_dict(experiment="cf_gap", params={"eta": 1e-300, "replicates": 2000})
         with pytest.raises(ConfigInvalid, match="step approximation"):
             run_scenario(Scenario.from_json_dict(obj), tmp_path)
 
