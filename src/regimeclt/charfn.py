@@ -21,6 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigInvalid
+from .independence import _transfer
 from .process import ModelSpec, iter_path_chunks, mixture_mean, mixture_variance
 from .seeds import SeedSpec
 
@@ -241,3 +242,17 @@ def cf_factorization_gap(
     for start, _states, obs in iter_path_chunks(stationary_model, n, replicates, seed, times=t_idx):
         rows[start : start + obs.shape[0]] = obs
     return cf_factorization_gap_from_samples(rows, t_grid, n_batches=n_batches)
+
+
+def cf_gap_exact(model: ModelSpec, lags, t_grid) -> NDArray[np.float64]:
+    """Exact |E e^{it(X_1 + ... + X_k)} - phi(t)^k| per t at cf_factorization_gap's times.
+
+    With D(t) = diag(phi_j(t)), the sum's cf is pi D P^lag_1 D ... D 1, one
+    `_transfer` product over the t grid, and phi(t) = pi D(t) 1.
+    """
+    lags = tuple(int(t) for t in lags)
+    if not lags or any(t < 1 for t in lags):
+        raise ValueError("lags must be positive integers")
+    d = model.emissions.cf_matrix(np.atleast_1d(np.asarray(t_grid, dtype=np.float64)))
+    joint = _transfer(model.stationary(), [d] * (len(lags) + 1), [(model.chain.p, t) for t in lags])
+    return np.abs(joint - (d @ model.stationary()) ** (len(lags) + 1))

@@ -3,37 +3,35 @@
 The sum of n centered observations is split into nu = floor(n/k) blocks of
 k - m indices separated by gaps of m indices (k = floor(n^a) for a blocking
 exponent a), plus a remainder collecting the gap indices and the final
-stub. Blocks are far enough apart to be nearly independent, the remainder
-is second-moment small, and the normalized sum is tested against the
-standard normal law by Kolmogorov-Smirnov distance and characteristic
-function distance.
+stub. Blocks are far enough apart to be nearly independent, and the
+remainder is second-moment small.
 
 Emissions depend on the past only through the regime, so every second
 moment of a stationary sum is a finite sum of the autocovariances
 gamma(0) = Var(X) and gamma(s) = (pi * c)^T P^s c for s >= 1, with c the
 centered regime means. The remainder's second moment, the finite-n variance
-of the sum and the long-run variance are computed exactly from them.
-
-Normalization uses the long-run standard deviation of the process (variance
-of the observation plus twice the summed autocovariances), estimated by
-batch means with batch length at least 50 / (1 - alpha); the exact spectral
-value is exported alongside for cross-checking.
+of the sum and the long-run variance are computed exactly from them. So is
+the law of the sum: E exp(i s S_n) = pi D(s) (P D(s))^(n-1) 1 with D(s) =
+diag(phi_j(s)), which Gil-Pelaez inversion (Biometrika 1951) turns into the
+exact Kolmogorov-Smirnov distance to the normal law. Normalization uses the
+exact long-run standard deviation; a batch-means estimate, with batch
+length at least 50 / (1 - alpha), is reported beside it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .chain import mixing_rate
-from .errors import GapExceedsBlock, LengthMismatch
+from .errors import ConfigInvalid, GapExceedsBlock
+from .independence import MAX_EXACT_CERTIFICATE_BYTES, _transfer
 from .process import (
     ModelSpec,
-    PathSample,
-    _ndtr,
     iter_path_chunks,
     mixture_abs_third_moment,
     mixture_mean,
@@ -42,7 +40,6 @@ from .process import (
 from .seeds import SeedSpec
 
 BLOCK_EXPONENT_MAX = 0.25
-RECONSTRUCTION_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -121,28 +118,6 @@ def decompose(n: int, alpha_exp: float, m: int) -> BlockDecomposition:
         block_ranges=tuple(zip((ends - k + 1).tolist(), (ends - m).tolist())),
         remainder_indices=remainder,
     )
-
-
-def block_sums(values, decomposition: BlockDecomposition) -> tuple[NDArray[np.float64], float]:
-    """Per-block sums and the remainder sum of a centered sequence.
-
-    values may be a 1-d array or a PathSample (its observations are used as
-    given; centering is the caller's responsibility). The block sums and the
-    remainder sum are accumulated independently, so comparing their total
-    against the direct sum is a meaningful reconstruction check.
-    """
-    if isinstance(values, PathSample):
-        values = values.observations
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1 or x.size != decomposition.n:
-        raise LengthMismatch(
-            f"sequence of length {x.size} does not match decomposition over n={decomposition.n}"
-        )
-    k, m, nu = decomposition.k, decomposition.m, decomposition.nu
-    windows = x[: nu * k].reshape(nu, k)
-    block = windows[:, : k - m].sum(axis=1)
-    remainder = float(windows[:, k - m :].sum()) + float(x[nu * k :].sum())
-    return block, remainder
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +269,16 @@ def long_run_std_batch_means(
     model: ModelSpec,
     seed: SeedSpec,
     batches: int = 4000,
-    batch_len: int | None = None,
 ) -> float:
     """Batch-means estimate of the long-run standard deviation.
 
-    Batches are independent stationary paths of batch_len observations; the
-    estimator is batch_len times the variance of the batch means.
+    Batches are independent stationary paths of batch_length_for(model)
+    observations; the estimator is the batch length times the variance of
+    the batch means.
     """
     if batches < 2:
         raise ValueError("need at least two batches")
-    if batch_len is None:
-        batch_len = batch_length_for(model)
+    batch_len = batch_length_for(model)
     mu = mixture_mean(model)
     stationary_model = model.stationary_start()
     batch_means = np.empty(batches)
@@ -314,117 +288,147 @@ def long_run_std_batch_means(
 
 
 # ---------------------------------------------------------------------------
-# convergence measurement
+# exact distance to the normal law
 # ---------------------------------------------------------------------------
 
+# The Gil-Pelaez rule: Gauss-Legendre panels of _PANEL_NODES nodes and width
+# _PANEL_WIDTH (width 4 misread F near |x| = 10 by 1e-6) on (0, T], T doubling
+# from _T_MIN until the tail bound is <= _TAIL_TOL, refused past _MAX_NODES.
+# sup |F - Phi| is read on _X_POINTS points over [-_X_END, _X_END], and
+# KS_EXACT_ATOL is the quadrature error allowed when it is read as monotone.
+_PANEL_NODES, _PANEL_WIDTH, _T_MIN, _TAIL_TOL, _MAX_NODES = 16, 2.0, 40.0, 1e-10, 4096
+_X_END, _X_POINTS, KS_EXACT_ATOL = 10.0, 481, 1e-9
+_ExactDistances = namedtuple("_ExactDistances", "ks cf_distance cdf_gap t_max tail")
 
-def ks_distance_to_std_normal(values) -> float:
-    """One-sample Kolmogorov-Smirnov distance to the standard normal law."""
-    y = np.sort(np.asarray(values, dtype=np.float64))
-    r = y.size
-    if r < 1:
-        raise ValueError("need at least one value")
-    cdf = _ndtr(y)
-    i = np.arange(1, r + 1)
-    return float(np.max(np.maximum(i / r - cdf, cdf - (i - 1) / r)))
+
+def _tail_bound(model: ModelSpec, n: int, scale: float, t0: float) -> float:
+    """Bound on (1/pi) int_t0^inf |phi_n(t) - e^{-t^2/2}| dt / t, phi_n the cf of S_n / scale.
+
+    |phi_n(t)| <= m(t)^n for the nonincreasing m(t) = max_j cf_bound(t / scale),
+    as P is stochastic. Each [t, 2^(1/4) t] of a geometric grid adds m(t)^n ln
+    2^(1/4); past its end t_e, |phi_j(s)| <= 1 / (s sd_j) adds (scale / (t_e
+    min sd_j))^n / n, and the normal part adds at most e^{-t0^2/2} / t0^2.
+    """
+    ratio = 2.0**0.25
+    t = t0 * ratio ** np.arange(161)
+    bound = np.max([c.cf_bound(t / scale) for c in model.emissions.components], axis=0)
+    c = scale / math.sqrt(float(model.emissions.variances().min()))
+    body = math.log(ratio) * float(np.sum(bound[:-1] ** n)) + (c / t[-1]) ** n / n
+    return (body + math.exp(-0.5 * t0 * t0) / (t0 * t0)) / math.pi
+
+
+def _exact_distances(model: ModelSpec, n: int, t_grid) -> _ExactDistances:
+    """Exact KS and cf distances to N(0, 1) of Y = (S_n - n mu) / (sigma sqrt(n)).
+
+    sigma is the exact long-run sd. With D(s) = diag(phi_j(s) e^{-i s mu}),
+    E e^{itY} = pi D (P D)^(n-1) 1 at s = t / (sigma sqrt(n)), one `_transfer`
+    product over the stack of t. By Gil-Pelaez, F(x) - Phi(x) = -(1/pi)
+    int_0^inf Im(e^{-itx} g(t)) / t dt for g(t) = E e^{itY} - e^{-t^2/2}; its sup
+    is refined twice around the four largest local maxima on the x grid. Also
+    returned: cdf_gap(x), F - Phi by the rule on (0, t_max], and the tail bound
+    past t_max. Raises ConfigInvalid, allocating nothing, if no t_max within
+    _MAX_NODES nodes meets _TAIL_TOL or the stack of P D passes the byte cap.
+    """
+    scale = math.sqrt(long_run_variance_exact(model) * n)
+    t_max = _T_MIN
+    while (tail := _tail_bound(model, n, scale, t_max)) > _TAIL_TOL:
+        t_max *= 2.0
+        if t_max / _PANEL_WIDTH * _PANEL_NODES > _MAX_NODES:
+            raise ConfigInvalid(f"exact clt at n={n}: the Gil-Pelaez tail bound {tail:.3g} stays "
+                                f"above {_TAIL_TOL:g} within {_MAX_NODES} quadrature nodes")
+    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    left = np.arange(0.0, t_max, _PANEL_WIDTH)[:, None]
+    nodes = (left + 0.5 * _PANEL_WIDTH * (x + 1.0)).ravel()
+    t = np.concatenate([nodes, np.asarray(t_grid, dtype=np.float64)])
+    if (needed := len(t) * model.n_states**2 * 16) > MAX_EXACT_CERTIFICATE_BYTES:
+        raise ConfigInvalid(f"exact clt at n={n} needs a complex stack of {needed} bytes, "
+                            f"above the {MAX_EXACT_CERTIFICATE_BYTES}-byte cap")
+    s = t / scale
+    d = model.emissions.cf_matrix(s) * np.exp(-1j * mixture_mean(model) * s)[:, None]
+    g = _transfer(model.stationary(), [d, np.ones(model.n_states)],
+                  [(model.chain.p * d[:, None, :], n - 1)]) - np.exp(-0.5 * t * t)
+    cf_distance = float(np.max(np.abs(g[len(nodes):])))
+    a = np.tile(0.5 * _PANEL_WIDTH * w, len(left)) * g[: len(nodes)] / (math.pi * nodes)
+    # Node k moves F - Phi by at most |a_k|: drop last nodes moving it 1e-15 in all.
+    keep = np.count_nonzero(np.cumsum(np.abs(a[::-1]))[::-1] > 1e-15)
+    nodes, a = nodes[:keep], a[:keep]
+
+    def cdf_gap(xs):
+        xt = np.multiply.outer(xs, nodes)
+        return np.sin(xt) @ a.real - np.cos(xt) @ a.imag
+
+    xs = np.linspace(-_X_END, _X_END, _X_POINTS)
+    ys = np.abs(cdf_gap(xs))
+    for _ in range(2):
+        peaks = np.flatnonzero((ys[1:-1] >= ys[:-2]) & (ys[1:-1] >= ys[2:])) + 1
+        top = peaks[np.argsort(ys[peaks], kind="stable")[-4:]]
+        fine = np.concatenate([np.empty(0)] + [np.linspace(xs[i - 1], xs[i + 1], 21) for i in top])
+        order = np.argsort(np.concatenate([xs, fine]), kind="stable")
+        xs = np.concatenate([xs, fine])[order]
+        ys = np.concatenate([ys, np.abs(cdf_gap(fine))])[order]
+    return _ExactDistances(float(ys.max()), cf_distance, cdf_gap, t_max, tail)
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Distance-to-normal measurements over a grid of sequence lengths.
+    """Exact distances to the normal law over a grid of sequence lengths.
 
-    variance_ratio is the sample variance of the normalized sums;
-    variance_ratio_exact is Var(S_n) / (n normalizer^2) for the same
-    normalizer, so their difference is sampling noise and the distance of
-    variance_ratio_exact from long_run_variance / normalizer^2 is finite-n
-    bias.
+    ks_distance and cf_distance are for (S_n - n mu) / (normalizer_exact
+    sqrt(n)), normalizer_exact the spectral long-run sd. normalizer is its
+    batch-means estimate, and variance_ratio_exact is Var(S_n) / (n
+    normalizer^2), whose distance from long_run_variance / normalizer^2 is
+    finite-n bias.
     """
 
     n_grid: tuple[int, ...]
     ks_distance: tuple[float, ...]
     cf_distance: tuple[float, ...]
     lindeberg_values: NDArray[np.float64]
-    variance_ratio: tuple[float, ...]
-    replicates: int
     normalizer: float
+    normalizer_exact: float
     eta_grid: tuple[float, ...]
     variance_ratio_exact: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if any(not 0.0 <= v <= 1.0 for v in self.ks_distance):
             raise ValueError("KS distances must lie in [0, 1]")
-        if any(not v > 0.0 for v in self.variance_ratio):
+        if any(not v > 0.0 for v in self.variance_ratio_exact):
             raise ValueError("variance ratios must be positive")
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_grid": list(self.n_grid),
-            "ks_distance": list(self.ks_distance),
-            "cf_distance": list(self.cf_distance),
-            "lindeberg_values": [list(row) for row in np.asarray(self.lindeberg_values)],
-            "variance_ratio": list(self.variance_ratio),
-            "variance_ratio_exact": list(self.variance_ratio_exact),
-            "replicates": self.replicates,
-            "normalizer": self.normalizer,
-            "eta_grid": list(self.eta_grid),
-        }
+        out = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
+        out["lindeberg_values"] = np.asarray(self.lindeberg_values).tolist()
+        return out
 
 
 def clt_convergence(
     model: ModelSpec,
     n_grid,
-    replicates: int = 2000,
     t_grid=(0.5, 1.0, 2.0),
     seed: SeedSpec | None = None,
     eta_grid=(0.1, 0.5, 1.0),
     batches: int = 4000,
 ) -> ConvergenceReport:
-    """Measure how fast normalized sums approach the standard normal law.
+    """Exact distance of normalized stationary sums to the standard normal law.
 
-    replicates stationary paths of max(n_grid) steps are drawn once; for
-    each n, the sum of a path's first n observations is reduced to
-    Y = sum(X_t - mu) / (normalizer sqrt(n)) and compared to the normal law
-    through the KS distance, the worst characteristic-function distance over
-    t_grid, and the variance ratio Var(Y) (which approaches 1 when the
-    normalizer is right), reported beside its exact value for the same
-    normalizer. The Lindeberg grid is exact (lindeberg_check). Stream
-    layout: the pilot normalizer uses stream offset 1 and the paths offset 2.
+    Per n, the KS distance and the worst cf distance over t_grid of
+    (S_n - n mu) / (sigma sqrt(n)), sigma the exact long-run sd (see
+    _exact_distances), and the exact Lindeberg grid. Only the batch-means
+    normalizer is sampled, on stream offset 1 of seed, after all else.
     """
     if seed is None:
         raise ValueError("a seed is required")
-    if replicates < 2:
-        raise ValueError("need at least two replicates")
     lindeberg = lindeberg_check(model, n_grid, eta_grid)
     n_grid = lindeberg.n_grid
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))
-    mu = mixture_mean(model)
+    distances = [_exact_distances(model, n, t_grid) for n in n_grid]
     normalizer = long_run_std_batch_means(model, seed.child(1), batches=batches)
-    # Each n reads column n - 1 of the paths' running sums.
-    cols = np.asarray(n_grid) - 1
-    sums = np.empty((replicates, len(n_grid)))
-    for start, _states, obs in iter_path_chunks(model.stationary_start(), max(n_grid), replicates,
-                                                seed.child(2)):
-        np.cumsum(obs, axis=1, out=obs)
-        sums[start : start + obs.shape[0]] = obs[:, cols]
-
-    ks_list, cf_list, var_list = [], [], []
-    for i, n in enumerate(n_grid):
-        y = (sums[:, i] - mu * n) / (normalizer * math.sqrt(n))
-        ks_list.append(ks_distance_to_std_normal(y))
-        cf_dist = 0.0
-        for t in t_grid:
-            emp = np.exp(1j * t * y).mean()
-            cf_dist = max(cf_dist, abs(emp - math.exp(-0.5 * t * t)))
-        cf_list.append(float(cf_dist))
-        var_list.append(float(y.var(ddof=1)))
     return ConvergenceReport(
         n_grid=n_grid,
-        ks_distance=tuple(ks_list),
-        cf_distance=tuple(cf_list),
+        ks_distance=tuple(d.ks for d in distances),
+        cf_distance=tuple(d.cf_distance for d in distances),
         lindeberg_values=lindeberg.values,
-        variance_ratio=tuple(var_list),
-        replicates=replicates,
         normalizer=normalizer,
+        normalizer_exact=math.sqrt(long_run_variance_exact(model)),
         eta_grid=lindeberg.eta_grid,
         variance_ratio_exact=tuple(
             sum_variance_exact(model, n) / (n * normalizer * normalizer) for n in n_grid

@@ -37,6 +37,8 @@ MAX_EXACT_EVENTS = 6
 # exact product family certificate may build, with B counted after dominated
 # events are pruned; larger requests raise ConfigInvalid up front.
 MAX_EXACT_CERTIFICATE_BYTES = 2**30
+# Tuples of an explicit family scored per stacked product.
+EXPLICIT_FAMILY_CHUNK = 1 << 16
 # Absolute slack for exact-arithmetic bound comparisons; covers accumulated
 # round-off in matrix powers.
 BOUND_SLACK = 1e-12
@@ -125,25 +127,34 @@ def _validate_lags(lags: Sequence[int], k: int) -> tuple[int, ...]:
     return lags
 
 
+def _transfer(start: np.ndarray, weights: Sequence[np.ndarray], steps: Sequence[tuple]) -> np.ndarray:
+    """start W_0 M_1 W_1 ... M_last W_last 1 over stacks of diagonal weights.
+
+    weights[r] is a (..., N) stack of diagonals, maybe complex; steps[r] =
+    (M, power) puts M^power, M (N, N) or a (..., N, N) stack, after it. Stack
+    axes broadcast: shared axes pair rows, axes in different places give every
+    combination with shared prefixes computed once. Returns the (...) products.
+    """
+    v = start * weights[0]
+    for w, (m, power) in zip(weights[1:-1], steps):
+        m = np.linalg.matrix_power(m, power)
+        v = (v @ m if m.ndim == 2 else (v[..., None, :] @ m)[..., 0, :]) * w
+    m = np.linalg.matrix_power(*steps[-1])
+    v = v @ m if m.ndim == 2 else (v[..., None, :] @ m)[..., 0, :]
+    return np.einsum("...n,...n->...", v, weights[-1])
+
+
 def _joint(model: ModelSpec, weights: Sequence[np.ndarray], lags: Sequence[int]) -> np.ndarray:
     """Stationary joint probability of every choice of one event per position.
 
-    weights[r] is a (B_r, N) stack of event weights; position r + 1 sits
-    lags[r] steps after position r. The (B_0, ..., B_last) result holds
+    weights[r] is a (B_r, N) stack of event weights, position r + 1 lags[r]
+    steps after position r; the (B_0, ..., B_last) result holds
     pi W_0 P^lag_0 W_1 ... W_last 1 for every choice of one row per stack.
-    Choices sharing a prefix share its propagated vector.
     """
-    v = model.stationary() * weights[0]
-    for r, (w, t) in enumerate(zip(weights[1:], lags), 2):
-        v = v @ np.linalg.matrix_power(model.chain.p, t)
-        v = v @ w.T if r == len(weights) else (v[:, None, :] * w).reshape(-1, model.n_states)
-    return v.reshape([len(w) for w in weights])
-
-
-def _exact_tuple_gap(model: ModelSpec, weights: Sequence[np.ndarray], lags: Sequence[int]) -> float:
-    """|P(joint) - product of marginals| of one tuple of event weights, stationary law."""
-    product = float(np.prod([model.stationary() @ w for w in weights]))
-    return abs(float(_joint(model, [w[None, :] for w in weights], lags).sum()) - product)
+    k = len(weights)
+    outer = [w.reshape((1,) * r + (len(w),) + (1,) * (k - 1 - r) + (model.n_states,))
+             for r, w in enumerate(weights)]
+    return _transfer(model.stationary(), outer, [(model.chain.p, t) for t in lags])
 
 
 def conditional_gap_matrix(
@@ -236,8 +247,7 @@ def joint_product_gap(
     if method == "exact":
         if k > MAX_EXACT_EVENTS:
             raise TooManyEventsForExact(f"exact evaluation supports at most {MAX_EXACT_EVENTS} events")
-        rows = {ev: ev.weights(model) for ev in dict.fromkeys(events)}
-        gap, std_error = _exact_tuple_gap(model, [rows[ev] for ev in events], lags), 0.0
+        gap, std_error = _max_tuple_gap(model, [events], lags), 0.0
     elif method == "mc":
         if seed is None:
             raise ValueError("Monte Carlo evaluation requires a seed")
@@ -338,8 +348,9 @@ def epsilon_certificate(
     either method scores it: the true maximum lies on them, so the exact
     value is unchanged and the Monte Carlo value stays conservative. For the
     default pool these are the full-line regime events and the full space.
-    An explicit family is evaluated tuple by tuple as given, weighing each
-    distinct event once. A pool or family with nothing to score gives 0.
+    An explicit family is scored as given, its tuples stacked in chunks and
+    each distinct event weighed once. A pool or family with nothing to
+    score gives 0.
     """
     if len(lags) == 0:
         raise ValueError("at least one lag is required")
@@ -359,16 +370,7 @@ def epsilon_certificate(
         family = itertools.product(itertools.compress(base, keep), repeat=k)
 
     if method == "exact":
-        rows: dict[RectEvent, NDArray[np.float64]] = {}
-        best = 0.0
-        for events in family:
-            if len(events) != k:
-                raise ValueError(f"every event tuple must have {k} entries")
-            for ev in events:
-                if ev not in rows:
-                    rows[ev] = ev.weights(model)
-            best = max(best, _exact_tuple_gap(model, [rows[ev] for ev in events], lags))
-        return best
+        return _max_tuple_gap(model, family, lags)
     if method != "mc":
         raise ValueError("method must be 'exact' or 'mc'")
     if seed is None:
@@ -380,6 +382,28 @@ def epsilon_certificate(
     return float(np.max(gaps + 3.0 * std_errors))
 
 
+def _max_tuple_gap(model: ModelSpec, family: Iterable[Sequence[RectEvent]], lags: tuple[int, ...]) -> float:
+    """Exact max |joint - product| gap over the event tuples of a family, 0 if empty.
+
+    Chunks of tuples go through `_transfer` as stacks, row r of every
+    position from tuple r; each distinct event is weighed once.
+    """
+    k = len(lags) + 1
+    slot: dict[RectEvent, int] = {}  # distinct events in order of first use
+    rows: list[NDArray[np.float64]] = []
+    best, tuples = 0.0, iter(family)
+    while chunk := list(itertools.islice(tuples, EXPLICIT_FAMILY_CHUNK)):
+        if any(len(events) != k for events in chunk):
+            raise ValueError(f"every event tuple must have {k} entries")
+        idx = np.array([[slot.setdefault(ev, len(slot)) for ev in events] for events in chunk],
+                       dtype=np.int64)
+        rows.extend(ev.weights(model) for ev in itertools.islice(slot, len(rows), None))
+        w = np.stack(rows)
+        joint = _transfer(model.stationary(), list(w[idx.T]), [(model.chain.p, t) for t in lags])
+        best = max(best, float(np.max(np.abs(joint - (w @ model.stationary())[idx].prod(axis=1)))))
+    return best
+
+
 def _epsilon_exact_product_family(
     model: ModelSpec, w: NDArray[np.float64], lags: tuple[int, ...]
 ) -> float:
@@ -389,14 +413,8 @@ def _epsilon_exact_product_family(
     event, `_joint` shares every tuple prefix's propagated state vector, so
     the tuples cost O(B^(k-2)) vectorised steps per leading event instead
     of B^k independent evaluations, and at most B^(k-2) max(N, B) values
-    are held.
-
-    Raises
-    ------
-    ConfigInvalid
-        If those B^(k-2) max(N, B) float64 values would exceed
-        MAX_EXACT_CERTIFICATE_BYTES; nothing beyond the weights is allocated
-        in that case.
+    are held. If those would pass MAX_EXACT_CERTIFICATE_BYTES, ConfigInvalid
+    is raised with nothing beyond the weights allocated.
     """
     n_base, n_states = w.shape
     needed = n_base ** (len(lags) - 1) * max(n_states, n_base) * 8

@@ -140,6 +140,9 @@ def _ndtr(x):
 # emission families
 # ---------------------------------------------------------------------------
 
+# cf(t) is each family's characteristic function and cf_bound(s) a bound on
+# |cf(s)| nonincreasing in |s|; every family also has |cf(s)| <= 1 / (|s| sd).
+
 
 @dataclass(frozen=True)
 class Gaussian:
@@ -188,6 +191,12 @@ class Gaussian:
             phi = math.exp(-0.5 * z * z) / _SQRT_2PI
             total += (s * s + d * d) * _ndtr(-z) + s * (a + d) * phi
         return total
+
+    def cf(self, t):
+        return np.exp(1j * self.mu * t - 0.5 * (self.sigma * t) ** 2)
+
+    def cf_bound(self, s):
+        return np.exp(-0.5 * (self.sigma * s) ** 2)
 
     def effective_support(self) -> tuple[float, float]:
         return (self.mu - 10.0 * self.sigma, self.mu + 10.0 * self.sigma)
@@ -244,6 +253,15 @@ class Uniform:
         for y1, y2 in ((min(max(a, lo), hi), hi), (lo, max(min(-a, hi), lo))):
             total += (y2 - y1) * (y2 * y2 + y1 * y2 + y1 * y1)
         return total / (3.0 * (self.b - self.a))
+
+    def cf(self, t):
+        # Centred sinc: the quotient (e^{itb} - e^{ita}) / (it(b - a)) loses eps / |t|.
+        return np.exp(0.5j * (self.a + self.b) * t) * np.sinc(0.5 * (self.b - self.a) * t / math.pi)
+
+    def cf_bound(self, s):
+        # sin(h) / h up to h = pi/2, where it meets 1 / h.
+        h = 0.5 * (self.b - self.a) * np.abs(s)
+        return np.where(h <= 0.5 * math.pi, np.sinc(h / math.pi), 1.0 / np.maximum(h, 1.0))
 
     def effective_support(self) -> tuple[float, float]:
         return (self.a, self.b)
@@ -313,6 +331,12 @@ class ShiftedExponential:
         lower = g(self.shift) - g(max(center - a, self.shift))
         return g(max(center + a, self.shift)) + lower
 
+    def cf(self, t):
+        return np.exp(1j * self.shift * t) * self.rate / (self.rate - 1j * t)
+
+    def cf_bound(self, s):
+        return self.rate / np.hypot(self.rate, np.asarray(s, dtype=np.float64))
+
     def effective_support(self) -> tuple[float, float]:
         return (self.shift, self.shift + 50.0 / self.rate)
 
@@ -374,6 +398,10 @@ class EmissionSpec:
     def pdf_matrix(self, x) -> NDArray[np.float64]:
         """Stack of component densities evaluated at x; shape (n_states, ...)."""
         return np.stack([np.asarray(c.pdf(x), dtype=np.float64) for c in self.components])
+
+    def cf_matrix(self, t) -> NDArray[np.complex128]:
+        """Component characteristic functions at t; shape t.shape + (n_states,)."""
+        return np.stack([c.cf(t) for c in self.components], axis=-1)
 
     def interval_weights(self, lo: float, hi: float) -> NDArray[np.float64]:
         """Per-component probability of the interval (lo, hi]."""

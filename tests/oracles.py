@@ -14,7 +14,11 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, stats
 
+from regimeclt.clt import lindeberg_check, long_run_std_batch_means, sum_variance_exact
+from regimeclt.errors import LengthMismatch
 from regimeclt.process import (
+    PathSample,
+    _ndtr,
     iter_path_chunks,
     mixture_abs_third_moment,
     mixture_mean,
@@ -300,6 +304,29 @@ def block_partition_loop(n: int, k: int, m: int) -> tuple[tuple, list]:
     return block_ranges, remainder
 
 
+def block_sums(values, decomposition) -> tuple[np.ndarray, float]:
+    """Per-block sums and the remainder sum of a centered sequence.
+
+    values may be a 1-d array or a PathSample (its observations are used as
+    given; centering is the caller's responsibility). The block sums and the
+    remainder sum are accumulated independently, so comparing their total
+    against the direct sum is a meaningful reconstruction check.
+    """
+    if isinstance(values, PathSample):
+        values = values.observations
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim != 1 or x.size != decomposition.n:
+        raise LengthMismatch(
+            f"sequence of length {x.size} does not match decomposition over n={decomposition.n}"
+        )
+    k, m, nu = decomposition.k, decomposition.m, decomposition.nu
+    windows = x[: nu * k].reshape(nu, k)
+    block = windows[:, : k - m].sum(axis=1)
+    remainder = float(windows[:, k - m :].sum()) + float(x[nu * k :].sum())
+    return block, remainder
+
+
+
 def remainder_second_moment_pairs(model, remainder_indices, n: int) -> float:
     """(1/n) sum_{i,j in R} gamma(|i - j|) over every ordered pair."""
     idx = np.asarray(remainder_indices)
@@ -454,3 +481,120 @@ def ks_distance_sorted(values: np.ndarray, cdf) -> float:
     dplus = np.max(np.arange(1, n + 1) / n - f)
     dminus = np.max(f - np.arange(0, n) / n)
     return float(max(dplus, dminus))
+
+
+def ks_distance_to_std_normal(values) -> float:
+    """One-sample Kolmogorov-Smirnov distance to the standard normal law."""
+    y = np.sort(np.asarray(values, dtype=np.float64))
+    r = y.size
+    if r < 1:
+        raise ValueError("need at least one value")
+    cdf = _ndtr(y)
+    i = np.arange(1, r + 1)
+    return float(np.max(np.maximum(i / r - cdf, cdf - (i - 1) / r)))
+
+
+@dataclass(frozen=True)
+class ConvergenceEstimate:
+    """Sampled distance-to-normal measurements over a grid of sequence lengths.
+
+    variance_ratio is the sample variance of the normalized sums;
+    variance_ratio_exact is Var(S_n) / (n normalizer^2) for the same
+    normalizer, so their difference is sampling noise and the distance of
+    variance_ratio_exact from long_run_variance / normalizer^2 is finite-n
+    bias.
+    """
+
+    n_grid: tuple[int, ...]
+    ks_distance: tuple[float, ...]
+    cf_distance: tuple[float, ...]
+    lindeberg_values: np.ndarray
+    variance_ratio: tuple[float, ...]
+    replicates: int
+    normalizer: float
+    eta_grid: tuple[float, ...]
+    variance_ratio_exact: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        if any(not 0.0 <= v <= 1.0 for v in self.ks_distance):
+            raise ValueError("KS distances must lie in [0, 1]")
+        if any(not v > 0.0 for v in self.variance_ratio):
+            raise ValueError("variance ratios must be positive")
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n_grid": list(self.n_grid),
+            "ks_distance": list(self.ks_distance),
+            "cf_distance": list(self.cf_distance),
+            "lindeberg_values": [list(row) for row in np.asarray(self.lindeberg_values)],
+            "variance_ratio": list(self.variance_ratio),
+            "variance_ratio_exact": list(self.variance_ratio_exact),
+            "replicates": self.replicates,
+            "normalizer": self.normalizer,
+            "eta_grid": list(self.eta_grid),
+        }
+
+
+def clt_convergence_mc(
+    model,
+    n_grid,
+    replicates: int = 2000,
+    t_grid=(0.5, 1.0, 2.0),
+    seed=None,
+    eta_grid=(0.1, 0.5, 1.0),
+    batches: int = 4000,
+    normalizer: float | None = None,
+) -> ConvergenceEstimate:
+    """Measure how fast normalized sums approach the standard normal law.
+
+    replicates stationary paths of max(n_grid) steps are drawn once; for
+    each n, the sum of a path's first n observations is reduced to
+    Y = sum(X_t - mu) / (normalizer sqrt(n)) and compared to the normal law
+    through the KS distance, the worst characteristic-function distance over
+    t_grid, and the variance ratio Var(Y) (which approaches 1 when the
+    normalizer is right), reported beside its exact value for the same
+    normalizer. The Lindeberg grid is exact (lindeberg_check). Stream
+    layout: the pilot normalizer uses stream offset 1 and the paths offset 2.
+    A given normalizer replaces the pilot, which is then not drawn.
+    """
+    if seed is None:
+        raise ValueError("a seed is required")
+    if replicates < 2:
+        raise ValueError("need at least two replicates")
+    lindeberg = lindeberg_check(model, n_grid, eta_grid)
+    n_grid = lindeberg.n_grid
+    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))
+    mu = mixture_mean(model)
+    if normalizer is None:
+        normalizer = long_run_std_batch_means(model, seed.child(1), batches=batches)
+    # Each n reads column n - 1 of the paths' running sums.
+    cols = np.asarray(n_grid) - 1
+    sums = np.empty((replicates, len(n_grid)))
+    for start, _states, obs in iter_path_chunks(model.stationary_start(), max(n_grid), replicates,
+                                                seed.child(2)):
+        np.cumsum(obs, axis=1, out=obs)
+        sums[start : start + obs.shape[0]] = obs[:, cols]
+
+    ks_list, cf_list, var_list = [], [], []
+    for i, n in enumerate(n_grid):
+        y = (sums[:, i] - mu * n) / (normalizer * math.sqrt(n))
+        ks_list.append(ks_distance_to_std_normal(y))
+        cf_dist = 0.0
+        for t in t_grid:
+            emp = np.exp(1j * t * y).mean()
+            cf_dist = max(cf_dist, abs(emp - math.exp(-0.5 * t * t)))
+        cf_list.append(float(cf_dist))
+        var_list.append(float(y.var(ddof=1)))
+    return ConvergenceEstimate(
+        n_grid=n_grid,
+        ks_distance=tuple(ks_list),
+        cf_distance=tuple(cf_list),
+        lindeberg_values=lindeberg.values,
+        variance_ratio=tuple(var_list),
+        replicates=replicates,
+        normalizer=normalizer,
+        eta_grid=lindeberg.eta_grid,
+        variance_ratio_exact=tuple(
+            sum_variance_exact(model, n) / (n * normalizer * normalizer) for n in n_grid
+        ),
+    )

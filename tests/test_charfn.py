@@ -12,6 +12,7 @@ from regimeclt.charfn import (
     build_step_approximation,
     cf_factorization_gap,
     cf_factorization_gap_from_samples,
+    cf_gap_exact,
     ecf,
     truncation_radius,
 )
@@ -225,6 +226,40 @@ class TestCfGapFromModel:
             cf_factorization_gap(bench_model, (), [1.0], seed=SeedSpec(1))
         with pytest.raises(ValueError):
             cf_factorization_gap(bench_model, (0,), [1.0], seed=SeedSpec(1))
+
+
+class TestCfGapExact:
+    def test_short_paths_values(self, bench_model):
+        gaps = cf_gap_exact(bench_model, (5, 5), [0.5, 1.0, 2.0])
+        np.testing.assert_allclose(gaps, [0.04543, 0.03019, 0.00032], atol=5e-6)
+        assert np.all(gaps <= 2.0 * epsilon_certificate(bench_model, (5, 5)))
+
+    @pytest.mark.parametrize("lags", [(1,), (2, 3), (1, 1, 4)])
+    def test_matches_path_enumeration(self, uniform_model, lags):
+        # E e^{it sum X} over every regime path; X's cf given the regime.
+        import itertools
+
+        pi, p = uniform_model.stationary(), uniform_model.chain.p
+        times = np.concatenate([[0], np.cumsum(lags)])
+        for t in (0.7, -1.3, 3.0):
+            d = uniform_model.emissions.cf_matrix(t)
+            joint = 0.0
+            for path in itertools.product(range(2), repeat=times[-1] + 1):
+                prob = pi[path[0]] * np.prod([p[a, b] for a, b in zip(path, path[1:])])
+                joint += prob * np.prod([d[path[r]] for r in times])
+            expected = abs(joint - complex(pi @ d) ** len(times))
+            assert cf_gap_exact(uniform_model, lags, [t])[0] == pytest.approx(expected, abs=1e-14)
+
+    def test_sampled_gap_agrees(self, bench_model):
+        rep = cf_factorization_gap(bench_model, (5, 5), [0.5, 1.0, 2.0], replicates=20_000,
+                                   seed=SeedSpec(88, 2))
+        exact = cf_gap_exact(bench_model, (5, 5), [0.5, 1.0, 2.0])
+        assert np.all(np.abs(rep.gaps - exact) <= 4.0 * rep.std_errors)
+
+    def test_argument_validation(self, bench_model):
+        for lags in ((), (0,), (2, -1)):
+            with pytest.raises(ValueError):
+                cf_gap_exact(bench_model, lags, [1.0])
 
 
 class TestCfGapReport:

@@ -4,6 +4,8 @@ long-run variance, and the convergence report."""
 import json
 import math
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,22 +14,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import block_sums
+from regimeclt import clt as clt_mod
+from regimeclt import process
 from regimeclt.chain import TransitionMatrix
 from regimeclt.clt import (
+    _TAIL_TOL,
+    _X_END,
     BlockDecomposition,
     ConvergenceReport,
     batch_length_for,
-    block_sums,
     clt_convergence,
     decompose,
-    ks_distance_to_std_normal,
     lindeberg_check,
     long_run_std_batch_means,
     long_run_variance_exact,
     remainder_diagnostic,
     sum_variance_exact,
+    _exact_distances,
 )
-from regimeclt.errors import GapExceedsBlock, LengthMismatch
+from regimeclt.errors import ConfigInvalid, GapExceedsBlock, LengthMismatch
 from regimeclt.process import (
     EmissionSpec,
     Gaussian,
@@ -442,11 +448,12 @@ class TestBatchMeans:
 
 
 class TestKsDistance:
+    # The sample KS distance is the Monte Carlo oracle's, in tests/oracles.py.
     def test_matches_textbook_oracle(self):
         from scipy import special
 
         values = np.random.default_rng(50).normal(0.2, 1.3, size=3_000)
-        got = ks_distance_to_std_normal(values)
+        got = oracles.ks_distance_to_std_normal(values)
         expected = oracles.ks_distance_sorted(values, special.ndtr)
         assert got == pytest.approx(expected, abs=1e-15)
 
@@ -454,16 +461,16 @@ class TestKsDistance:
         from scipy import stats
 
         values = np.random.default_rng(51).normal(size=2_500)
-        got = ks_distance_to_std_normal(values)
+        got = oracles.ks_distance_to_std_normal(values)
         assert got == pytest.approx(stats.kstest(values, "norm").statistic, rel=1e-12)
 
     def test_standard_normal_sample_is_close(self):
         values = np.random.default_rng(52).standard_normal(10_000)
-        assert ks_distance_to_std_normal(values) < 0.02
+        assert oracles.ks_distance_to_std_normal(values) < 0.02
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            ks_distance_to_std_normal([])
+            oracles.ks_distance_to_std_normal([])
 
 
 class TestConvergenceReport:
@@ -471,21 +478,19 @@ class TestConvergenceReport:
         with pytest.raises(ValueError):
             ConvergenceReport(
                 n_grid=(10,), ks_distance=(1.5,), cf_distance=(0.1,),
-                lindeberg_values=np.zeros((1, 1)), variance_ratio=(1.0,),
-                replicates=10, normalizer=1.0, eta_grid=(0.1,),
+                lindeberg_values=np.zeros((1, 1)), normalizer=1.0, normalizer_exact=1.0,
+                eta_grid=(0.1,), variance_ratio_exact=(1.0,),
             )
         for ratio in (0.0, math.nan):
             with pytest.raises(ValueError):
                 ConvergenceReport(
                     n_grid=(10,), ks_distance=(0.5,), cf_distance=(0.1,),
-                    lindeberg_values=np.zeros((1, 1)), variance_ratio=(ratio,),
-                    replicates=10, normalizer=1.0, eta_grid=(0.1,),
+                    lindeberg_values=np.zeros((1, 1)), normalizer=1.0, normalizer_exact=1.0,
+                    eta_grid=(0.1,), variance_ratio_exact=(ratio,),
                 )
 
     def test_json_dict_is_serializable(self, iid_model):
-        rep = clt_convergence(
-            iid_model, (16, 64), replicates=300, seed=SeedSpec(60, 1), batches=100,
-        )
+        rep = clt_convergence(iid_model, (16, 64), seed=SeedSpec(60, 1), batches=100)
         text = json.dumps(rep.to_json_dict())
         again = json.loads(text)
         assert again["n_grid"] == [16, 64]
@@ -493,9 +498,7 @@ class TestConvergenceReport:
         assert len(again["lindeberg_values"]) == 2
 
     def test_exact_variance_ratio_uses_the_report_normalizer(self, bench_model):
-        rep = clt_convergence(
-            bench_model, (16, 256, 4096), replicates=50, seed=SeedSpec(60, 2), batches=100,
-        )
+        rep = clt_convergence(bench_model, (16, 256, 4096), seed=SeedSpec(60, 2), batches=100)
         norm2 = rep.normalizer**2
         expected = [sum_variance_exact(bench_model, n) / (n * norm2) for n in rep.n_grid]
         assert rep.to_json_dict()["variance_ratio_exact"] == expected
@@ -507,8 +510,10 @@ class TestConvergenceReport:
 
 
 class TestCltConvergence:
+    # The sampled estimator that the exact route replaced, kept as the Monte
+    # Carlo oracle tests/oracles.py::clt_convergence_mc.
     def test_iid_sums_are_already_normal(self, iid_model):
-        rep = clt_convergence(
+        rep = oracles.clt_convergence_mc(
             iid_model, (8, 64), replicates=2_000, seed=SeedSpec(61, 1), batches=400,
         )
         # Normalized iid Gaussian sums are exactly standard normal up to the
@@ -520,8 +525,8 @@ class TestCltConvergence:
 
     def test_deterministic_in_seed(self, bench_model):
         kwargs = dict(n_grid=(16,), replicates=200, seed=SeedSpec(61, 2), batches=60)
-        a = clt_convergence(bench_model, **kwargs)
-        b = clt_convergence(bench_model, **kwargs)
+        a = oracles.clt_convergence_mc(bench_model, **kwargs)
+        b = oracles.clt_convergence_mc(bench_model, **kwargs)
         assert a.to_json_dict() == b.to_json_dict()
 
     def test_matches_prefix_sums_of_one_path_set(self, bench_model):
@@ -530,8 +535,8 @@ class TestCltConvergence:
         from scipy import stats
 
         n_grid, replicates, seed, t_grid = (5, 40, 17, 40), 300, SeedSpec(61, 3), (0.5, 1.0, 2.0)
-        rep = clt_convergence(bench_model, n_grid, replicates=replicates, t_grid=t_grid,
-                              seed=seed, batches=60)
+        rep = oracles.clt_convergence_mc(bench_model, n_grid, replicates=replicates,
+                                         t_grid=t_grid, seed=seed, batches=60)
         assert rep.normalizer == long_run_std_batch_means(bench_model, seed.child(1), batches=60)
         chunks = iter_path_chunks(bench_model.stationary_start(), max(n_grid), replicates,
                                   seed.child(2))
@@ -546,8 +551,8 @@ class TestCltConvergence:
 
     def test_cells_do_not_depend_on_grid_order_or_repeats(self, bench_model):
         kwargs = dict(replicates=200, seed=SeedSpec(61, 4), batches=60)
-        base = clt_convergence(bench_model, (8, 32, 128), **kwargs)
-        other = clt_convergence(bench_model, (128, 8, 32, 8, 128), **kwargs)
+        base = oracles.clt_convergence_mc(bench_model, (8, 32, 128), **kwargs)
+        other = oracles.clt_convergence_mc(bench_model, (128, 8, 32, 8, 128), **kwargs)
 
         def cells(rep):
             return [(n, rep.ks_distance[i], rep.cf_distance[i], rep.variance_ratio[i],
@@ -558,17 +563,222 @@ class TestCltConvergence:
         assert cells(other) == [at_n[n] for n in other.n_grid]
 
     def test_argument_errors(self, bench_model, monkeypatch):
-        with pytest.raises(ValueError):
-            clt_convergence(bench_model, (16,))
+        for route in (clt_convergence, oracles.clt_convergence_mc):
+            with pytest.raises(ValueError):
+                route(bench_model, (16,))
 
         def refuse(*args, **kwargs):
             raise AssertionError("clt_convergence drew before refusing its arguments")
 
         # Each refusal comes before any draw; one replicate has no sample variance.
         monkeypatch.setattr(SeedSpec, "block_rng", refuse)
-        for kwargs in (dict(n_grid=(0,)), dict(n_grid=(16,), eta_grid=(-0.1,)),
-                       dict(n_grid=(16, 64), replicates=1), dict(n_grid=(16,), replicates=0)):
+        for kwargs in (dict(n_grid=(0,)), dict(n_grid=(16,), eta_grid=(-0.1,))):
+            for route in (clt_convergence, oracles.clt_convergence_mc):
+                with pytest.raises(ValueError):
+                    route(bench_model, seed=SeedSpec(1), **kwargs)
+        for kwargs in (dict(n_grid=(16, 64), replicates=1), dict(n_grid=(16,), replicates=0)):
             with pytest.raises(ValueError):
-                clt_convergence(bench_model, seed=SeedSpec(1), **kwargs)
-        with pytest.raises(TypeError):
-            clt_convergence(bench_model, (16,), seed=SeedSpec(1), lindeberg_replicates=1_000)
+                oracles.clt_convergence_mc(bench_model, seed=SeedSpec(1), **kwargs)
+        # The exact route samples nothing per replicate, so it takes no count.
+        for kwargs in (dict(lindeberg_replicates=1_000), dict(replicates=2_000)):
+            with pytest.raises(TypeError):
+                clt_convergence(bench_model, (16,), seed=SeedSpec(1), **kwargs)
+
+
+def _benchmark_clt_model() -> ModelSpec:
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "benchmark_clt.json"
+    return ModelSpec.from_json_dict(json.loads(path.read_text())["model"])
+
+
+def _cf_by_recursion(model, n: int, t) -> np.ndarray:
+    """cf of (S_n - n mu) / (sigma sqrt(n)) by n single transfer steps."""
+    t = np.asarray(t, dtype=np.float64)
+    s = t / math.sqrt(long_run_variance_exact(model) * n)
+    shift = np.exp(-1j * s * mixture_mean(model))
+    d = np.stack([np.array([complex(c.cf(v)) for v in s]) * shift
+                  for c in model.emissions.components], axis=1)
+    v = model.stationary() * d
+    for _ in range(n - 1):
+        v = (v @ model.chain.p) * d
+    return v.sum(axis=1)
+
+
+def _finer_rule(monkeypatch, model, n, t_grid, width_factor: float, t_min: float):
+    """_exact_distances with panels width_factor times as wide and T from t_min."""
+    with monkeypatch.context() as patch:
+        patch.setattr(clt_mod, "_PANEL_WIDTH", clt_mod._PANEL_WIDTH * width_factor)
+        patch.setattr(clt_mod, "_T_MIN", t_min)
+        return _exact_distances(model, n, t_grid)
+
+
+class TestCltExact:
+    T_GRID = (0.5, 1.0, 2.0)
+
+    def test_long_paths_values(self, workload_model, monkeypatch):
+        # The long-paths workload's n; values by Gil-Pelaez on the exact cf.
+        from scipy import optimize
+
+        expected_ks = (9.434e-4, 2.777e-4, 9.880e-5)
+        expected_cf = (2.38e-3, 6.43e-4, 2.61e-4)
+        for n, ks, cf in zip((1000, 4000, 16000), expected_ks, expected_cf):
+            got = _exact_distances(workload_model, n, self.T_GRID)
+            assert f"{got.ks:.3e}" == f"{ks:.3e}"
+            assert f"{got.cf_distance:.2e}" == f"{cf:.2e}"
+            # An independent sup: a bounded scalar search of |F - Phi| on a
+            # finer rule, started from a dense scan.
+            fine = _finer_rule(monkeypatch, workload_model, n, self.T_GRID, 0.25, 160.0)
+            xs = np.linspace(-6.0, 6.0, 6001)
+            i = int(np.argmax(np.abs(fine.cdf_gap(xs))))
+            best = optimize.minimize_scalar(lambda x: -abs(float(fine.cdf_gap(np.array([x]))[0])),
+                                            bounds=(xs[i - 1], xs[i + 1]), method="bounded",
+                                            options={"xatol": 1e-10})
+            assert got.ks == pytest.approx(-best.fun, rel=1e-6)
+
+    def test_cf_matches_step_by_step_recursion(self, workload_model, uniform_model):
+        for model, n in ((workload_model, 1000), (uniform_model, 300)):
+            expected = _cf_by_recursion(model, n, self.T_GRID)
+            got = _exact_distances(model, n, self.T_GRID).cf_distance
+            assert got == pytest.approx(np.max(np.abs(expected - np.exp(-0.5 * np.square(self.T_GRID)))),
+                                        rel=1e-9)
+
+    @pytest.mark.parametrize("name,n_grid", [("bench_model", (4, 100, 1600)),
+                                             ("uniform_model", (10, 1000)),
+                                             ("workload_model", (1000, 4000, 16000))])
+    def test_doubling_panels_and_range_keeps_the_values(self, name, n_grid, request, monkeypatch):
+        model = request.getfixturevalue(name)
+        for n in n_grid:
+            base = _exact_distances(model, n, self.T_GRID)
+            double = _finer_rule(monkeypatch, model, n, self.T_GRID, 0.5, 2 * base.t_max)
+            assert abs(base.ks - double.ks) <= 1e-9
+            assert abs(base.cf_distance - double.cf_distance) <= 1e-12
+
+    def test_uniform_cf_stays_stable_at_a_million(self, uniform_model, monkeypatch):
+        def shift(model):
+            base = _exact_distances(model, 10**6, self.T_GRID)
+            double = _finer_rule(monkeypatch, model, 10**6, self.T_GRID, 0.5, 2 * base.t_max)
+            return abs(base.ks - double.ks)
+
+        assert shift(uniform_model) <= 1e-9
+
+        def difference_quotient(self, t):
+            t = np.asarray(t, dtype=np.float64)
+            return (np.exp(1j * t * self.b) - np.exp(1j * t * self.a)) / (1j * t * (self.b - self.a))
+
+        # The quotient loses about eps / t per factor near t = 0, and the
+        # millionth power multiplies that loss: the same check fails.
+        monkeypatch.setattr(Uniform, "cf", difference_quotient)
+        assert shift(uniform_model) > 1e-9
+
+    @pytest.mark.parametrize("name,n_grid", [("bench_model", (4, 100, 1600)),
+                                             ("uniform_model", (1000, 10**6)),
+                                             ("workload_model", (20, 1000, 16000))])
+    def test_tail_beyond_the_rule_is_bounded(self, name, n_grid, request):
+        from scipy import integrate
+
+        model = request.getfixturevalue(name)
+        for n in n_grid:
+            got = _exact_distances(model, n, self.T_GRID)
+            scale = math.sqrt(long_run_variance_exact(model) * n)
+
+            def integrand(t):
+                moduli = [abs(complex(c.cf(t / scale))) for c in model.emissions.components]
+                return max(moduli) ** n / t
+
+            edges = got.t_max * 2.0 ** np.arange(0, 41)
+            tail = sum(integrate.quad(integrand, a, b, limit=200, epsabs=0.0, epsrel=1e-8)[0]
+                       for a, b in zip(edges[:-1], edges[1:])) / math.pi
+            assert tail <= got.tail <= _TAIL_TOL
+
+    @pytest.mark.parametrize("name,n_grid", [("bench_model", (4, 100, 1600)),
+                                             ("uniform_model", (10, 1000)),
+                                             ("workload_model", (1000, 4000, 16000))])
+    def test_grid_ends_bound_the_distance_outside_the_grid(self, name, n_grid, request):
+        # For x < -x0, |F - Phi| <= max(F(-x0), Phi(-x0)), and for x > x0,
+        # |F - Phi| <= max(1 - F(x0), Phi(-x0)).
+        model = request.getfixturevalue(name)
+        x0 = _X_END
+        phi = float(process._ndtr(-x0))
+        for n in n_grid:
+            got = _exact_distances(model, n, self.T_GRID)
+            gap_lo, gap_hi = got.cdf_gap(np.array([-x0, x0]))
+            assert max(phi + gap_lo, phi - gap_hi, phi) <= got.ks
+
+    def test_report_and_draws(self, workload_model, monkeypatch):
+        # Only the batch-means pilot draws, on stream offset 1.
+        streams = []
+        real = clt_mod.iter_path_chunks
+
+        def recording(model, n, replicates, seed, **kwargs):
+            streams.append(seed)
+            return real(model, n, replicates, seed, **kwargs)
+
+        monkeypatch.setattr(clt_mod, "iter_path_chunks", recording)
+        seed = SeedSpec(62, 1)
+        rep = clt_convergence(workload_model, (1000, 4000, 16000), seed=seed, batches=200)
+        assert streams == [seed.child(1)]
+        assert rep.normalizer == long_run_std_batch_means(workload_model, seed.child(1), batches=200)
+        assert rep.normalizer_exact == pytest.approx(6.16182, abs=5e-6)
+        assert rep.ks_distance == tuple(_exact_distances(workload_model, n, (0.5, 1.0, 2.0)).ks
+                                        for n in (1000, 4000, 16000))
+        assert all(b < a for a, b in zip(rep.ks_distance, rep.ks_distance[1:]))
+
+    def test_three_long_paths_n_take_under_50ms_warm(self, workload_model):
+        def run():
+            start = time.perf_counter()
+            for n in (1000, 4000, 16000):
+                _exact_distances(workload_model, n, self.T_GRID)
+            return time.perf_counter() - start
+
+        run()
+        assert min(run() for _ in range(5)) <= 0.05
+
+    def test_stack_over_the_byte_cap_is_refused_before_allocation(self, monkeypatch):
+        # 460 states: 320 nodes of 460 x 460 complex entries pass 2^30 bytes.
+        rng = np.random.default_rng(64)
+        rows = rng.dirichlet(np.ones(460), size=460)
+        model = ModelSpec(TransitionMatrix(rows / rows.sum(axis=1, keepdims=True)),
+                          EmissionSpec(tuple(Gaussian(float(m), 1.0) for m in rng.normal(size=460))))
+        model.stationary()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before refusing the exact clt")
+
+        monkeypatch.setattr(SeedSpec, "block_rng", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigInvalid, match="byte cap"):
+                clt_convergence(model, (100,), seed=SeedSpec(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_unmet_tail_bound_is_refused_before_drawing(self, monkeypatch):
+        # One exponential observation: |phi(s)| ~ 1 / s, so the tail bound
+        # falls only as 1 / T and no node budget meets it.
+        model = ModelSpec(TransitionMatrix(np.array([[1.0]])),
+                          EmissionSpec((ShiftedExponential(1.0),)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before refusing the exact clt")
+
+        monkeypatch.setattr(SeedSpec, "block_rng", refuse)
+        with pytest.raises(ConfigInvalid, match="tail bound"):
+            clt_convergence(model, (1,), seed=SeedSpec(1))
+        # Twenty observations meet it.
+        assert _exact_distances(model, 20, self.T_GRID).tail <= _TAIL_TOL
+
+    def test_monte_carlo_oracle_agrees(self):
+        # The sampled estimator, normalized by the exact sigma, against the
+        # exact values: KS within the DKW bound at level 1e-6, cf within 4 SE.
+        model = _benchmark_clt_model()
+        n_grid, replicates = (100, 400, 1600), 10_000
+        sigma = math.sqrt(long_run_variance_exact(model))
+        mc = oracles.clt_convergence_mc(model, n_grid, replicates=replicates,
+                                        seed=SeedSpec(20260817, 4), normalizer=sigma)
+        dkw = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * replicates))
+        se = 1.0 / math.sqrt(replicates)
+        for i, n in enumerate(n_grid):
+            exact = _exact_distances(model, n, (0.5, 1.0, 2.0))
+            assert abs(mc.ks_distance[i] - exact.ks) <= dkw
+            assert abs(mc.cf_distance[i] - exact.cf_distance) <= 4.0 * se

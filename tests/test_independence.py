@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from regimeclt import independence
 from regimeclt.chain import TransitionMatrix, mixing_rate
 from regimeclt.errors import ConfigInvalid, EmptyConditioningEvent, TooManyEventsForExact
 from regimeclt.independence import (
@@ -506,6 +507,26 @@ class TestEpsilonCertificate:
         assert eps == pytest.approx(
             epsilon_certificate(bench_model, (1, 2), base_events=base), rel=1e-12
         )
+
+    def test_explicit_family_matches_the_per_tuple_gaps(self, monkeypatch):
+        # Stacked in chunks through the transfer core, the explicit family's
+        # maximum equals the largest single-tuple gap, chunk size aside.
+        model = _three_family_model()
+        base = default_event_family(model, (0.25, 0.5, 0.75))
+        family = list(itertools.product(base, repeat=3))
+        rows = {ev: ev.weights(model) for ev in base}
+        pi = model.stationary()
+
+        def tuple_gap(events):
+            joint = _joint(model, [rows[ev][None, :] for ev in events], (1, 3)).sum()
+            return abs(joint - np.prod([pi @ rows[ev] for ev in events]))
+
+        per_tuple = max(tuple_gap(events) for events in family)
+        stacked = epsilon_certificate(model, (1, 3), family=family)
+        assert abs(stacked - per_tuple) <= 1e-14
+        monkeypatch.setattr(independence, "EXPLICIT_FAMILY_CHUNK", 97)
+        assert epsilon_certificate(model, (1, 3), family=iter(family)) == stacked
+        assert epsilon_certificate(model, (1, 3), family=[]) == 0.0
 
     def test_exact_family_memory_preflight(self):
         # 60 quantile levels give 61 observation-only events, all weighing

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -42,6 +43,50 @@ from regimeclt.seeds import REPLICATE_BLOCK, SeedSpec
 
 
 class TestEmissions:
+    @pytest.mark.parametrize(
+        "comp",
+        [Gaussian(0.5, 2.0), Uniform(-1.0, 3.0), ShiftedExponential(0.7, -2.0)],
+        ids=["gaussian", "uniform", "shifted_exponential"],
+    )
+    def test_cf_matches_fourier_quadrature(self, comp):
+        from scipy import integrate
+
+        lo, hi = comp.effective_support()
+        for t in (0.0, 1e-7, 0.3, 1.0, 4.0, -2.5):
+            parts = [integrate.quad(lambda x: float(comp.pdf(x)), lo, hi, weight=w, wvar=t,
+                                    limit=400, epsabs=1e-13)[0] for w in ("cos", "sin")]
+            assert abs(complex(comp.cf(t)) - complex(*parts)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "comp",
+        [Gaussian(0.5, 2.0), Uniform(-1.0, 3.0), ShiftedExponential(0.7, -2.0)],
+        ids=["gaussian", "uniform", "shifted_exponential"],
+    )
+    def test_cf_bound_is_a_nonincreasing_envelope(self, comp):
+        s = np.linspace(0.0, 60.0, 60_001)
+        bound = comp.cf_bound(s)
+        assert np.all(np.abs(comp.cf(s)) <= bound + 1e-15)
+        assert np.all(np.diff(bound) <= 0.0)
+        np.testing.assert_array_equal(comp.cf_bound(-s), bound)
+        # The far-tail bound every family shares.
+        assert np.all(np.abs(comp.cf(s[1:])) <= 1.0 / (s[1:] * math.sqrt(comp.variance)))
+
+    def test_uniform_cf_is_accurate_near_zero(self):
+        # The sinc form keeps full relative accuracy where the difference
+        # quotient loses about eps / t.
+        comp = Uniform(-0.5, 1.5)
+        for t in (1e-6, 1e-9, 1e-12):
+            half = 0.5 * (comp.b - comp.a) * t
+            expected = complex(math.cos(0.5 * t), math.sin(0.5 * t)) * (1.0 - half * half / 6.0)
+            assert abs(complex(comp.cf(t)) - expected) <= 2e-16
+
+    def test_cf_matrix_stacks_the_components(self, bench_model):
+        t = np.array([[0.0, 0.5], [1.0, 2.0]])
+        got = bench_model.emissions.cf_matrix(t)
+        assert got.shape == (2, 2, 2)
+        for j, comp in enumerate(bench_model.emissions.components):
+            np.testing.assert_array_equal(got[..., j], comp.cf(t))
+
     @pytest.mark.parametrize(
         "comp",
         [Gaussian(0.5, 2.0), Uniform(-1.0, 3.0), ShiftedExponential(0.7, -2.0)],
@@ -218,7 +263,7 @@ class TestModelSpec:
             cf = cf_factorization_gap(model, (2, 3), [0.5, 1.0], replicates=400, seed=seed)
             gap = joint_product_gap(model, events, (3,), method="mc", replicates=2_000, seed=seed)
             sd = long_run_std_batch_means(model, seed, batches=50)
-            conv = clt_convergence(model, [16, 64], replicates=100, seed=seed, batches=50)
+            conv = clt_convergence(model, [16, 64], seed=seed, batches=50)
             return [np.asarray(getattr(rep, f.name)) for rep in (cf, gap, conv)
                     for f in dataclasses.fields(rep)] + [np.asarray(sd)]
 

@@ -10,6 +10,7 @@ import pytest
 
 from regimeclt import cli
 from regimeclt.chain import stationary_distribution
+from regimeclt.clt import _exact_distances, long_run_variance_exact
 from regimeclt.errors import BoundViolated, ConfigInvalid
 from regimeclt.independence import RectEvent, default_event_family, epsilon_certificate
 from regimeclt.runner import (
@@ -232,8 +233,13 @@ class TestRunScenario:
         )
         result = run_scenario(s, tmp_path)
         assert result.status == 0
-        sections = {line.split(",")[0] for line in result.csv_path.read_text().splitlines()[1:]}
-        assert sections == {"cf_gap", "step"}
+        rows = [line.split(",") for line in result.csv_path.read_text().splitlines()[1:]]
+        assert {r[0] for r in rows} == {"cf_gap", "cf_gap_exact", "step"}
+        # The exact gap is gated at 2 eps itself, with no standard error.
+        eps = result.report["results"]["epsilon_hat"]
+        (exact,) = [r for r in rows if r[0] == "cf_gap_exact"]
+        assert exact[1] == "t=1.0" and exact[3] == "" and float(exact[4]) == 2.0 * eps
+        assert float(exact[2]) == result.report["results"]["max_gap_exact"]
 
     def test_clt_report_structure(self, tmp_path):
         s = Scenario.from_json_dict(scenario_dict(experiment="clt", params=FAST_CLT_PARAMS))
@@ -243,6 +249,27 @@ class TestRunScenario:
         assert conv["n_grid"] == [16, 64]
         assert result.report["results"]["block"]["n"] == 64
         assert isinstance(result.report["results"]["ks_monotone_within_noise"], bool)
+
+    def test_clt_is_exact_and_ignores_replicates(self, tmp_path):
+        # The distances are exact; replicates is still validated but never read.
+        results, tables = [], []
+        for reps in (100, 2):
+            params = dict(FAST_CLT_PARAMS, replicates=reps)
+            s = Scenario.from_json_dict(scenario_dict(experiment="clt", params=params))
+            result = run_scenario(s, tmp_path / str(reps))
+            results.append(result.report["results"])
+            tables.append(result.csv_path.read_text())
+        assert results[0] == results[1] and tables[0] == tables[1]
+        model = Scenario.from_json_dict(scenario_dict(experiment="clt")).model
+        assert results[0]["normalizer_exact"] == math.sqrt(long_run_variance_exact(model))
+        assert results[0]["ks_monotone_within_noise"] is True
+        conv = results[0]["convergence"]
+        assert conv["ks_distance"] == [_exact_distances(model, n, [0.5, 1.0, 2.0]).ks
+                                       for n in (16, 64)]
+        assert "variance_ratio" not in conv and "replicates" not in conv
+        sections = {line.split(",")[0] for line in tables[0].splitlines()[1:]}
+        assert sections == {"ks_distance", "cf_distance", "variance_ratio_exact", "lindeberg",
+                            "remainder"}
 
     def test_clt_remainder_is_exact(self, tmp_path):
         # remainder_replicates is still validated but no longer read: the
@@ -386,15 +413,15 @@ class TestRunScenario:
             run_scenario(Scenario.from_json_dict(obj), tmp_path)
 
     def test_clt_n_grid_length_is_not_capped(self, tmp_path):
-        # Every n reads the prefix sums of one path set on one stream, so a
-        # 31-entry n_grid (once refused to keep per-n streams apart) runs.
+        # Every n is exact and draws nothing, so a 31-entry n_grid (once
+        # refused to keep per-n streams apart) runs.
         params = dict(FAST_CLT_PARAMS, n_grid=list(range(64, 64 + 31)))
         s = Scenario.from_json_dict(scenario_dict(experiment="clt", params=params))
         result = run_scenario(s, tmp_path)
         assert result.status == 0
         conv = result.report["results"]["convergence"]
         assert conv["n_grid"] == params["n_grid"]
-        assert len(conv["ks_distance"]) == len(conv["variance_ratio"]) == 31
+        assert len(conv["ks_distance"]) == len(conv["variance_ratio_exact"]) == 31
 
     def test_nonergodic_model_is_config_error(self, tmp_path):
         obj = scenario_dict()
