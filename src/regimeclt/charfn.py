@@ -85,7 +85,7 @@ class StepApproximation:
     endpoint; each cell takes the value of exp(itx) at its midpoint, and
     outside the interval the function is 0. The error on the interval is
     |1 - exp(i t w / 2)| = 2 sin(min(|t| w / 4, pi / 2)), reached at the
-    cell ends. Breakpoints and coefficients are derived on demand.
+    cell ends. Breakpoints are derived on demand.
     """
 
     t: float
@@ -110,11 +110,6 @@ class StepApproximation:
     @property
     def breakpoints(self) -> NDArray[np.float64]:
         return np.linspace(-self.radius, self.radius, self.n_cells + 1)
-
-    @property
-    def coefficients(self) -> NDArray[np.complex128]:
-        bp = self.breakpoints
-        return np.exp(1j * self.t * (0.5 * (bp[:-1] + bp[1:])))
 
     def __call__(self, x) -> NDArray[np.complex128]:
         x = np.asarray(x, dtype=np.float64)

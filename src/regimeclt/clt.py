@@ -14,8 +14,7 @@ of the sum and the long-run variance are computed exactly from them. So is
 the law of the sum: E exp(i s S_n) = pi D(s) (P D(s))^(n-1) 1 with D(s) =
 diag(phi_j(s)), which Gil-Pelaez inversion (Biometrika 1951) turns into the
 exact Kolmogorov-Smirnov distance to the normal law. Normalization uses the
-exact long-run standard deviation; a batch-means estimate, with batch
-length at least 50 / (1 - alpha), is reported beside it.
+exact long-run standard deviation, so nothing here draws a random number.
 """
 
 from __future__ import annotations
@@ -27,17 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .chain import mixing_rate
 from .errors import ConfigInvalid, GapExceedsBlock
 from .independence import MAX_EXACT_CERTIFICATE_BYTES, _transfer
-from .process import (
-    ModelSpec,
-    iter_path_chunks,
-    mixture_abs_third_moment,
-    mixture_mean,
-    mixture_variance,
-)
-from .seeds import SeedSpec
+from .process import ModelSpec, mixture_abs_third_moment, mixture_mean, mixture_variance
 
 BLOCK_EXPONENT_MAX = 0.25
 
@@ -49,11 +40,11 @@ BLOCK_EXPONENT_MAX = 0.25
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Partition of 1..n into nu blocks of k - m indices plus a remainder.
+    """Partition of 1..n into nu = n // k blocks of k - m indices plus a remainder.
 
     block_ranges holds 1-based inclusive intervals ((i-1)k + 1, ik - m);
     remainder_indices holds the m trailing indices of every block window and
-    the final n - k nu indices.
+    the final n - k nu indices. Both are derived from (n, k, m, nu).
     """
 
     n: int
@@ -61,27 +52,35 @@ class BlockDecomposition:
     m: int
     k: int
     nu: int
-    block_ranges: tuple[tuple[int, int], ...]
-    remainder_indices: NDArray[np.int64]
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.remainder_indices, dtype=np.int64)
-        idx.setflags(write=False)
-        object.__setattr__(self, "remainder_indices", idx)
-        if self.nu != len(self.block_ranges):
-            raise ValueError("nu must equal the number of blocks")
-        covered = self.nu * (self.k - self.m) + idx.size
-        if covered != self.n:
-            raise ValueError("blocks and remainder must partition 1..n")
+        if not 1 <= self.m < self.k:
+            raise ValueError("gap m must lie in [1, k)")
+        if self.nu != self.n // self.k:
+            raise ValueError("nu must equal n // k")
 
     @property
     def p(self) -> int:
         """Number of remainder indices, m nu + (n - k nu)."""
-        return int(self.remainder_indices.size)
+        return self.m * self.nu + self.n - self.k * self.nu
 
     @property
     def block_length(self) -> int:
         return self.k - self.m
+
+    @property
+    def _ends(self) -> NDArray[np.int64]:
+        return np.arange(1, self.nu + 1, dtype=np.int64) * self.k  # last index of each window
+
+    @property
+    def block_ranges(self) -> tuple[tuple[int, int], ...]:
+        ends = self._ends
+        return tuple(zip((ends - self.k + 1).tolist(), (ends - self.m).tolist()))
+
+    @property
+    def remainder_indices(self) -> NDArray[np.int64]:
+        return np.concatenate([(self._ends[:, None] + np.arange(1 - self.m, 1)).ravel(),
+                               np.arange(self.nu * self.k + 1, self.n + 1)])
 
 
 def _guarded_power_floor(n: int, exponent: float) -> int:
@@ -109,15 +108,7 @@ def decompose(n: int, alpha_exp: float, m: int) -> BlockDecomposition:
     k = _guarded_power_floor(n, alpha_exp)
     if m >= k:
         raise GapExceedsBlock(f"gap m={m} does not fit in blocks of k={k} indices")
-    nu = n // k
-    ends = np.arange(1, nu + 1, dtype=np.int64) * k  # last index of each window
-    remainder = np.concatenate([(ends[:, None] + np.arange(1 - m, 1)).ravel(),
-                                np.arange(nu * k + 1, n + 1)])
-    return BlockDecomposition(
-        n=n, alpha_exp=alpha_exp, m=m, k=k, nu=nu,
-        block_ranges=tuple(zip((ends - k + 1).tolist(), (ends - m).tolist())),
-        remainder_indices=remainder,
-    )
+    return BlockDecomposition(n=n, alpha_exp=alpha_exp, m=m, k=k, nu=n // k)
 
 
 # ---------------------------------------------------------------------------
@@ -259,34 +250,6 @@ def sum_variance_exact(model: ModelSpec, n: int) -> float:
     return n * gamma0 + 2.0 * pairs
 
 
-def batch_length_for(model: ModelSpec) -> int:
-    """Batch length 50 / (1 - alpha), at least 50, from the chain's SLEM."""
-    alpha = mixing_rate(model.chain, s_max=2).alpha
-    return max(50, int(math.ceil(50.0 / max(1.0 - alpha, 1e-6))))
-
-
-def long_run_std_batch_means(
-    model: ModelSpec,
-    seed: SeedSpec,
-    batches: int = 4000,
-) -> float:
-    """Batch-means estimate of the long-run standard deviation.
-
-    Batches are independent stationary paths of batch_length_for(model)
-    observations; the estimator is the batch length times the variance of
-    the batch means.
-    """
-    if batches < 2:
-        raise ValueError("need at least two batches")
-    batch_len = batch_length_for(model)
-    mu = mixture_mean(model)
-    stationary_model = model.stationary_start()
-    batch_means = np.empty(batches)
-    for start, _states, obs in iter_path_chunks(stationary_model, batch_len, batches, seed):
-        batch_means[start : start + obs.shape[0]] = obs.mean(axis=1) - mu
-    return float(math.sqrt(batch_len * batch_means.var(ddof=1)))
-
-
 # ---------------------------------------------------------------------------
 # exact distance to the normal law
 # ---------------------------------------------------------------------------
@@ -373,10 +336,9 @@ def _exact_distances(model: ModelSpec, n: int, t_grid) -> _ExactDistances:
 class ConvergenceReport:
     """Exact distances to the normal law over a grid of sequence lengths.
 
-    ks_distance and cf_distance are for (S_n - n mu) / (normalizer_exact
-    sqrt(n)), normalizer_exact the spectral long-run sd. normalizer is its
-    batch-means estimate, and variance_ratio_exact is Var(S_n) / (n
-    normalizer^2), whose distance from long_run_variance / normalizer^2 is
+    ks_distance and cf_distance are for (S_n - n mu) / (normalizer sqrt(n)),
+    normalizer the exact long-run sd sigma, and variance_ratio_exact is
+    Var(S_n) / (n sigma^2), which tends to 1; its distance from 1 is
     finite-n bias.
     """
 
@@ -385,7 +347,6 @@ class ConvergenceReport:
     cf_distance: tuple[float, ...]
     lindeberg_values: NDArray[np.float64]
     normalizer: float
-    normalizer_exact: float
     eta_grid: tuple[float, ...]
     variance_ratio_exact: tuple[float, ...] = ()
 
@@ -405,32 +366,24 @@ def clt_convergence(
     model: ModelSpec,
     n_grid,
     t_grid=(0.5, 1.0, 2.0),
-    seed: SeedSpec | None = None,
     eta_grid=(0.1, 0.5, 1.0),
-    batches: int = 4000,
 ) -> ConvergenceReport:
     """Exact distance of normalized stationary sums to the standard normal law.
 
     Per n, the KS distance and the worst cf distance over t_grid of
     (S_n - n mu) / (sigma sqrt(n)), sigma the exact long-run sd (see
-    _exact_distances), and the exact Lindeberg grid. Only the batch-means
-    normalizer is sampled, on stream offset 1 of seed, after all else.
+    _exact_distances), and the exact Lindeberg grid. Nothing is sampled.
     """
-    if seed is None:
-        raise ValueError("a seed is required")
     lindeberg = lindeberg_check(model, n_grid, eta_grid)
     n_grid = lindeberg.n_grid
     distances = [_exact_distances(model, n, t_grid) for n in n_grid]
-    normalizer = long_run_std_batch_means(model, seed.child(1), batches=batches)
+    variance = long_run_variance_exact(model)
     return ConvergenceReport(
         n_grid=n_grid,
         ks_distance=tuple(d.ks for d in distances),
         cf_distance=tuple(d.cf_distance for d in distances),
         lindeberg_values=lindeberg.values,
-        normalizer=normalizer,
-        normalizer_exact=math.sqrt(long_run_variance_exact(model)),
+        normalizer=math.sqrt(variance),
         eta_grid=lindeberg.eta_grid,
-        variance_ratio_exact=tuple(
-            sum_variance_exact(model, n) / (n * normalizer * normalizer) for n in n_grid
-        ),
+        variance_ratio_exact=tuple(sum_variance_exact(model, n) / (n * variance) for n in n_grid),
     )

@@ -33,10 +33,6 @@ class GapExceedsBlock(RegimecltError):
     """Requested inter-block gap does not fit inside the block length."""
 
 
-class LengthMismatch(RegimecltError):
-    """Sequence length does not match the block decomposition it is paired with."""
-
-
 class ConfigInvalid(RegimecltError):
     """Scenario configuration is malformed or semantically invalid (exit 1)."""
 

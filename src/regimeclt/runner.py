@@ -6,6 +6,7 @@ mixing        geometric-decay certificate for the chain's n-step gaps
 independence  exact conditional and joint-product gaps with envelopes
 cf_gap        characteristic-function factorization gap, Monte Carlo and exact
 clt           exact normal-convergence measurements plus block/remainder checks
+              (draws nothing, so its artifacts do not depend on the seed)
 
 Every run writes report.json, tables.csv (long format; each row carries its
 theoretical bound where one exists), and manifest.json into a directory
@@ -42,6 +43,7 @@ from .errors import (BoundViolated, ConfigInvalid, GapExceedsBlock, InvalidModel
                      TooManyEventsForExact)
 from .independence import (
     BOUND_SLACK,
+    RectEvent,
     chained_gap_bound,
     conditional_gap_matrix,
     default_event_family,
@@ -76,9 +78,9 @@ _PARAM_DEFAULTS: dict[str, dict] = {
         "eta_grid": [0.1, 0.5, 1.0],
         "alpha_exp": 0.25,
         "m": 2,
+        # Accepted and validated but unused, as clt is exact; old scenarios,
+        # --replicates and bench/workloads.py pass them.
         "batches": 2000,
-        # Accepted and validated but unused, as all but the batch means is
-        # exact; old scenarios, --replicates and bench/workloads.py pass them.
         "replicates": 2000,
         "remainder_replicates": 400,
         "lindeberg_replicates": 200_000,
@@ -89,8 +91,8 @@ _INT_PARAMS = {"s_max", "replicates", "m", "remainder_replicates", "batches", "l
 _INT_LIST_PARAMS = {"tau_grid", "lags", "n_grid"}
 _FLOAT_LIST_PARAMS = {"t_grid", "eta_grid", "quantile_levels"}
 _FLOAT_PARAMS = {"eta", "alpha_exp"}
-# Smallest sample sizes: cf_gap batches its replicates, clt takes a variance
-# over batches, and clt's unused replicates keep their sampled-era minimum.
+# Smallest sample sizes: cf_gap batches its replicates, and clt's unused
+# replicates and batches keep their sampled-era minimum.
 _MIN_SAMPLES = {("cf_gap", "replicates"): CF_GAP_BATCHES, ("clt", "replicates"): 2, ("clt", "batches"): 2}
 
 
@@ -353,11 +355,13 @@ def _experiment_cf_gap(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
     # observation-only rectangles the exact gap can exceed 2 eps (the
     # two-point gap is pi_1 pi_2 alpha^tau |phi_1 - phi_2|^2, which beats
     # twice the best rectangle gap once |phi_1 - phi_2| passes sqrt(2) times
-    # the sup distribution-function distance).
-    eps = epsilon_certificate(
-        model, lags,
-        base_events=default_event_family(model, params["quantile_levels"]),
-    )
+    # the sup distribution-function distance). Of the quantile-level family
+    # only the full-line regime events and the full space are undominated
+    # (a half-line weighs F_j(q) <= 1 on its regime), so that pool is built
+    # directly: quantile_levels is validated but solves no quantile.
+    regimes = range(1, model.n_states + 1)
+    pool = [RectEvent(frozenset({j})) for j in regimes] + [RectEvent(frozenset(regimes))]
+    eps = epsilon_certificate(model, lags, base_events=pool)
     rep = cf_factorization_gap(
         model, lags, params["t_grid"], replicates=params["replicates"],
         seed=scenario.seed.child(1),
@@ -395,8 +399,8 @@ def _experiment_clt(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
         d = decompose(n_max, params["alpha_exp"], params["m"])
     except (GapExceedsBlock, ValueError) as exc:
         raise ConfigInvalid(f"block decomposition of n={n_max}: {exc}") from exc
-    # The remainder is exact, so its p^2 R^2 / n envelope is checked before
-    # any path is sampled: an emission scale that overflows R is refused.
+    # The remainder's p^2 R^2 / n envelope is checked before the exact
+    # distances: an emission scale that overflows R is refused.
     try:
         rem = remainder_diagnostic(model, d)
     except (OverflowError, ZeroDivisionError) as exc:
@@ -405,14 +409,8 @@ def _experiment_clt(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
     if not math.isfinite(rem.bound):
         raise ConfigInvalid(f"remainder envelope p^2 R^2 / n at n={n_max} is not finite "
                             f"(R = {rem.abs_third_moment!r})")
-    report = clt_convergence(
-        model,
-        params["n_grid"],
-        t_grid=params["t_grid"],
-        seed=scenario.seed,
-        eta_grid=params["eta_grid"],
-        batches=params["batches"],
-    )
+    report = clt_convergence(model, params["n_grid"], t_grid=params["t_grid"],
+                             eta_grid=params["eta_grid"])
     rows: list[Row] = []
     violations: list[str] = []
     for i, n in enumerate(report.n_grid):
@@ -434,7 +432,6 @@ def _experiment_clt(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
     results = {
         "convergence": report.to_json_dict(),
         "normalizer": report.normalizer,
-        "normalizer_exact": report.normalizer_exact,
         "ks_monotone_within_noise": monotone,
         "block": {"n": d.n, "k": d.k, "nu": d.nu, "m": d.m, "p": d.p},
         "remainder": {

@@ -14,9 +14,11 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, stats
 
-from regimeclt.clt import lindeberg_check, long_run_std_batch_means, sum_variance_exact
-from regimeclt.errors import LengthMismatch
+from regimeclt.chain import mixing_rate
+from regimeclt.clt import lindeberg_check, sum_variance_exact
+from regimeclt.errors import RegimecltError
 from regimeclt.process import (
+    ModelSpec,
     PathSample,
     _ndtr,
     iter_path_chunks,
@@ -24,7 +26,7 @@ from regimeclt.process import (
     mixture_mean,
     mixture_variance,
 )
-from regimeclt.seeds import REPLICATE_BLOCK
+from regimeclt.seeds import REPLICATE_BLOCK, SeedSpec
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +306,10 @@ def block_partition_loop(n: int, k: int, m: int) -> tuple[tuple, list]:
     return block_ranges, remainder
 
 
+class LengthMismatch(RegimecltError):
+    """Sequence length does not match the block decomposition it is paired with."""
+
+
 def block_sums(values, decomposition) -> tuple[np.ndarray, float]:
     """Per-block sums and the remainder sum of a centered sequence.
 
@@ -492,6 +498,34 @@ def ks_distance_to_std_normal(values) -> float:
     cdf = _ndtr(y)
     i = np.arange(1, r + 1)
     return float(np.max(np.maximum(i / r - cdf, cdf - (i - 1) / r)))
+
+
+def batch_length_for(model: ModelSpec) -> int:
+    """Batch length 50 / (1 - alpha), at least 50, from the chain's SLEM."""
+    alpha = mixing_rate(model.chain, s_max=2).alpha
+    return max(50, int(math.ceil(50.0 / max(1.0 - alpha, 1e-6))))
+
+
+def long_run_std_batch_means(
+    model: ModelSpec,
+    seed: SeedSpec,
+    batches: int = 4000,
+) -> float:
+    """Batch-means estimate of the long-run standard deviation.
+
+    Batches are independent stationary paths of batch_length_for(model)
+    observations; the estimator is the batch length times the variance of
+    the batch means.
+    """
+    if batches < 2:
+        raise ValueError("need at least two batches")
+    batch_len = batch_length_for(model)
+    mu = mixture_mean(model)
+    stationary_model = model.stationary_start()
+    batch_means = np.empty(batches)
+    for start, _states, obs in iter_path_chunks(stationary_model, batch_len, batches, seed):
+        batch_means[start : start + obs.shape[0]] = obs.mean(axis=1) - mu
+    return float(math.sqrt(batch_len * batch_means.var(ddof=1)))
 
 
 @dataclass(frozen=True)

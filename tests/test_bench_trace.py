@@ -44,9 +44,13 @@ def test_traced_child_passes_oracle(tmp_path, workload):
     assert record["status"] == 0
 
     metrics = tracing.summarize(json.loads(trace_path.read_text(encoding="utf-8")))
-    # The hooks still see what they count: sampled paths, or certificate tuples.
-    counted = "independence.certificate_tuples" if workload == "exact-gaps" else "process.paths"
-    assert metrics[counted] > 0
+    # The hooks still see what they count: sampled paths on short-paths, or
+    # certificate tuples on exact-gaps. Long-paths runs clt, which samples nothing.
+    if workload == "long-paths":
+        assert metrics["process.paths"] == 0 and metrics["process.obs"] == 0
+    else:
+        counted = "independence.certificate_tuples" if workload == "exact-gaps" else "process.paths"
+        assert metrics[counted] > 0
 
     report = json.loads(Path(record["report"]).read_text(encoding="utf-8"))
     rows = oracle.read_rows(Path(record["tables"]).read_text(encoding="utf-8"))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import block_sums
+from oracles import LengthMismatch, block_sums
 from regimeclt import clt as clt_mod
 from regimeclt import process
 from regimeclt.chain import TransitionMatrix
@@ -23,17 +23,15 @@ from regimeclt.clt import (
     _X_END,
     BlockDecomposition,
     ConvergenceReport,
-    batch_length_for,
     clt_convergence,
     decompose,
     lindeberg_check,
-    long_run_std_batch_means,
     long_run_variance_exact,
     remainder_diagnostic,
     sum_variance_exact,
     _exact_distances,
 )
-from regimeclt.errors import ConfigInvalid, GapExceedsBlock, LengthMismatch
+from regimeclt.errors import ConfigInvalid, GapExceedsBlock
 from regimeclt.process import (
     EmissionSpec,
     Gaussian,
@@ -119,12 +117,13 @@ class TestDecompose:
             decompose(100, 0.25, 3)
 
     def test_record_rejects_bad_partition(self):
-        with pytest.raises(ValueError):
-            BlockDecomposition(
-                n=10, alpha_exp=0.25, m=1, k=2, nu=5,
-                block_ranges=tuple((i * 2 + 1, i * 2 + 1) for i in range(5)),
-                remainder_indices=np.array([2, 4]),
-            )
+        # The record holds (n, alpha_exp, m, k, nu) and derives the rest, so
+        # it refuses a block count other than n // k and a gap outside [1, k).
+        assert BlockDecomposition(n=10, alpha_exp=0.25, m=1, k=2, nu=5).p == 5
+        for fields in (dict(m=1, k=2, nu=4), dict(m=1, k=2, nu=6), dict(m=0, k=2, nu=5),
+                       dict(m=2, k=2, nu=5), dict(m=3, k=3, nu=3)):
+            with pytest.raises(ValueError):
+                BlockDecomposition(n=10, alpha_exp=0.25, **fields)
 
 
 class TestBlockSums:
@@ -422,29 +421,31 @@ class TestSumVarianceExact:
 
 
 class TestBatchMeans:
+    # The batch-means estimator the exact normalizer replaced, kept as the
+    # Monte Carlo oracle tests/oracles.py::long_run_std_batch_means.
     def test_batch_length(self, bench_model, iid_model):
-        assert batch_length_for(bench_model) == 167
-        assert batch_length_for(iid_model) == 50
+        assert oracles.batch_length_for(bench_model) == 167
+        assert oracles.batch_length_for(iid_model) == 50
 
     def test_estimates_long_run_std(self, bench_model):
         sigma = math.sqrt(long_run_variance_exact(bench_model))
-        est = long_run_std_batch_means(bench_model, SeedSpec(30, 1), batches=400)
+        est = oracles.long_run_std_batch_means(bench_model, SeedSpec(30, 1), batches=400)
         # Finite batches bias the variance down a percent or two; the
         # sampling error dominates at 400 batches.
         assert abs(est - sigma) / sigma < 0.15
 
     def test_iid_unit_variance(self, iid_model):
-        est = long_run_std_batch_means(iid_model, SeedSpec(30, 2), batches=400)
+        est = oracles.long_run_std_batch_means(iid_model, SeedSpec(30, 2), batches=400)
         assert abs(est - 1.0) < 0.15
 
     def test_deterministic_in_seed(self, bench_model):
-        a = long_run_std_batch_means(bench_model, SeedSpec(30, 3), batches=50)
-        b = long_run_std_batch_means(bench_model, SeedSpec(30, 3), batches=50)
+        a = oracles.long_run_std_batch_means(bench_model, SeedSpec(30, 3), batches=50)
+        b = oracles.long_run_std_batch_means(bench_model, SeedSpec(30, 3), batches=50)
         assert a == b
 
     def test_batches_validation(self, bench_model):
         with pytest.raises(ValueError):
-            long_run_std_batch_means(bench_model, SeedSpec(1), batches=1)
+            oracles.long_run_std_batch_means(bench_model, SeedSpec(1), batches=1)
 
 
 class TestKsDistance:
@@ -478,19 +479,19 @@ class TestConvergenceReport:
         with pytest.raises(ValueError):
             ConvergenceReport(
                 n_grid=(10,), ks_distance=(1.5,), cf_distance=(0.1,),
-                lindeberg_values=np.zeros((1, 1)), normalizer=1.0, normalizer_exact=1.0,
+                lindeberg_values=np.zeros((1, 1)), normalizer=1.0,
                 eta_grid=(0.1,), variance_ratio_exact=(1.0,),
             )
         for ratio in (0.0, math.nan):
             with pytest.raises(ValueError):
                 ConvergenceReport(
                     n_grid=(10,), ks_distance=(0.5,), cf_distance=(0.1,),
-                    lindeberg_values=np.zeros((1, 1)), normalizer=1.0, normalizer_exact=1.0,
+                    lindeberg_values=np.zeros((1, 1)), normalizer=1.0,
                     eta_grid=(0.1,), variance_ratio_exact=(ratio,),
                 )
 
     def test_json_dict_is_serializable(self, iid_model):
-        rep = clt_convergence(iid_model, (16, 64), seed=SeedSpec(60, 1), batches=100)
+        rep = clt_convergence(iid_model, (16, 64))
         text = json.dumps(rep.to_json_dict())
         again = json.loads(text)
         assert again["n_grid"] == [16, 64]
@@ -498,15 +499,15 @@ class TestConvergenceReport:
         assert len(again["lindeberg_values"]) == 2
 
     def test_exact_variance_ratio_uses_the_report_normalizer(self, bench_model):
-        rep = clt_convergence(bench_model, (16, 256, 4096), seed=SeedSpec(60, 2), batches=100)
-        norm2 = rep.normalizer**2
-        expected = [sum_variance_exact(bench_model, n) / (n * norm2) for n in rep.n_grid]
+        rep = clt_convergence(bench_model, (16, 256, 4096))
+        lrv = long_run_variance_exact(bench_model)
+        assert rep.normalizer == math.sqrt(lrv)
+        expected = [sum_variance_exact(bench_model, n) / (n * lrv) for n in rep.n_grid]
         assert rep.to_json_dict()["variance_ratio_exact"] == expected
-        # Toward the long-run variance over the same squared normalizer.
-        limit = long_run_variance_exact(bench_model) / norm2
-        gaps = [abs(r - limit) for r in rep.variance_ratio_exact]
+        # Var(S_n) / (n sigma^2) -> 1; the distance is finite-n bias.
+        gaps = [abs(r - 1.0) for r in rep.variance_ratio_exact]
         assert gaps[0] > gaps[1] > gaps[2]
-        assert gaps[2] < 1e-3 * limit
+        assert gaps[2] < 1e-3
 
 
 class TestCltConvergence:
@@ -537,7 +538,8 @@ class TestCltConvergence:
         n_grid, replicates, seed, t_grid = (5, 40, 17, 40), 300, SeedSpec(61, 3), (0.5, 1.0, 2.0)
         rep = oracles.clt_convergence_mc(bench_model, n_grid, replicates=replicates,
                                          t_grid=t_grid, seed=seed, batches=60)
-        assert rep.normalizer == long_run_std_batch_means(bench_model, seed.child(1), batches=60)
+        assert rep.normalizer == oracles.long_run_std_batch_means(bench_model, seed.child(1),
+                                                                  batches=60)
         chunks = iter_path_chunks(bench_model.stationary_start(), max(n_grid), replicates,
                                   seed.child(2))
         prefix = np.cumsum(np.concatenate([obs for _start, _states, obs in chunks]), axis=1)
@@ -563,9 +565,9 @@ class TestCltConvergence:
         assert cells(other) == [at_n[n] for n in other.n_grid]
 
     def test_argument_errors(self, bench_model, monkeypatch):
-        for route in (clt_convergence, oracles.clt_convergence_mc):
-            with pytest.raises(ValueError):
-                route(bench_model, (16,))
+        # The sampled oracle needs a seed; the exact route takes none.
+        with pytest.raises(ValueError):
+            oracles.clt_convergence_mc(bench_model, (16,))
 
         def refuse(*args, **kwargs):
             raise AssertionError("clt_convergence drew before refusing its arguments")
@@ -573,16 +575,18 @@ class TestCltConvergence:
         # Each refusal comes before any draw; one replicate has no sample variance.
         monkeypatch.setattr(SeedSpec, "block_rng", refuse)
         for kwargs in (dict(n_grid=(0,)), dict(n_grid=(16,), eta_grid=(-0.1,))):
-            for route in (clt_convergence, oracles.clt_convergence_mc):
-                with pytest.raises(ValueError):
-                    route(bench_model, seed=SeedSpec(1), **kwargs)
+            with pytest.raises(ValueError):
+                clt_convergence(bench_model, **kwargs)
+            with pytest.raises(ValueError):
+                oracles.clt_convergence_mc(bench_model, seed=SeedSpec(1), **kwargs)
         for kwargs in (dict(n_grid=(16, 64), replicates=1), dict(n_grid=(16,), replicates=0)):
             with pytest.raises(ValueError):
                 oracles.clt_convergence_mc(bench_model, seed=SeedSpec(1), **kwargs)
-        # The exact route samples nothing per replicate, so it takes no count.
-        for kwargs in (dict(lindeberg_replicates=1_000), dict(replicates=2_000)):
+        # The exact route samples nothing, so it takes no seed and no count.
+        for kwargs in (dict(seed=SeedSpec(1)), dict(batches=2_000), dict(replicates=2_000),
+                       dict(lindeberg_replicates=1_000)):
             with pytest.raises(TypeError):
-                clt_convergence(bench_model, (16,), seed=SeedSpec(1), **kwargs)
+                clt_convergence(bench_model, (16,), **kwargs)
 
 
 def _benchmark_clt_model() -> ModelSpec:
@@ -704,23 +708,33 @@ class TestCltExact:
             assert max(phi + gap_lo, phi - gap_hi, phi) <= got.ks
 
     def test_report_and_draws(self, workload_model, monkeypatch):
-        # Only the batch-means pilot draws, on stream offset 1.
+        # No stream is drawn: the normalizer is the exact long-run sd.
         streams = []
-        real = clt_mod.iter_path_chunks
+        real = SeedSpec.block_rng
 
-        def recording(model, n, replicates, seed, **kwargs):
-            streams.append(seed)
-            return real(model, n, replicates, seed, **kwargs)
+        def recording(self, *args, **kwargs):
+            streams.append((self, args))
+            return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(clt_mod, "iter_path_chunks", recording)
-        seed = SeedSpec(62, 1)
-        rep = clt_convergence(workload_model, (1000, 4000, 16000), seed=seed, batches=200)
-        assert streams == [seed.child(1)]
-        assert rep.normalizer == long_run_std_batch_means(workload_model, seed.child(1), batches=200)
-        assert rep.normalizer_exact == pytest.approx(6.16182, abs=5e-6)
+        monkeypatch.setattr(SeedSpec, "block_rng", recording)
+        rep = clt_convergence(workload_model, (1000, 4000, 16000))
+        assert streams == []
+        assert rep.normalizer == math.sqrt(long_run_variance_exact(workload_model))
+        assert rep.normalizer == 6.161818117921668
         assert rep.ks_distance == tuple(_exact_distances(workload_model, n, (0.5, 1.0, 2.0)).ks
                                         for n in (1000, 4000, 16000))
         assert all(b < a for a, b in zip(rep.ks_distance, rep.ks_distance[1:]))
+
+    def test_runs_with_the_sampler_refusing(self, workload_model, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("clt_convergence sampled")
+
+        expected = clt_convergence(workload_model, (1000, 4000))
+        monkeypatch.setattr(process, "iter_path_chunks", refuse)
+        monkeypatch.setattr(SeedSpec, "block_rng", refuse)
+        assert not hasattr(clt_mod, "iter_path_chunks")
+        got = clt_convergence(workload_model, (1000, 4000))
+        assert got.to_json_dict() == expected.to_json_dict()
 
     def test_three_long_paths_n_take_under_50ms_warm(self, workload_model):
         def run():
@@ -747,7 +761,7 @@ class TestCltExact:
         tracemalloc.start()
         try:
             with pytest.raises(ConfigInvalid, match="byte cap"):
-                clt_convergence(model, (100,), seed=SeedSpec(1))
+                clt_convergence(model, (100,))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -764,7 +778,7 @@ class TestCltExact:
 
         monkeypatch.setattr(SeedSpec, "block_rng", refuse)
         with pytest.raises(ConfigInvalid, match="tail bound"):
-            clt_convergence(model, (1,), seed=SeedSpec(1))
+            clt_convergence(model, (1,))
         # Twenty observations meet it.
         assert _exact_distances(model, 20, self.T_GRID).tail <= _TAIL_TOL
 

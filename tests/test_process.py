@@ -18,7 +18,7 @@ import oracles
 from regimeclt import process
 from regimeclt.chain import TransitionMatrix
 from regimeclt.charfn import cf_factorization_gap
-from regimeclt.clt import clt_convergence, long_run_std_batch_means
+from regimeclt.clt import clt_convergence
 from regimeclt.errors import InvalidModel, ZeroLikelihood
 from regimeclt.independence import RectEvent, joint_product_gap
 from regimeclt.process import (
@@ -262,8 +262,8 @@ class TestModelSpec:
         def outputs(model):
             cf = cf_factorization_gap(model, (2, 3), [0.5, 1.0], replicates=400, seed=seed)
             gap = joint_product_gap(model, events, (3,), method="mc", replicates=2_000, seed=seed)
-            sd = long_run_std_batch_means(model, seed, batches=50)
-            conv = clt_convergence(model, [16, 64], seed=seed, batches=50)
+            sd = oracles.long_run_std_batch_means(model, seed, batches=50)
+            conv = clt_convergence(model, [16, 64])
             return [np.asarray(getattr(rep, f.name)) for rep in (cf, gap, conv)
                     for f in dataclasses.fields(rep)] + [np.asarray(sd)]
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regimeclt import cli
+from regimeclt import cli, process
 from regimeclt.chain import stationary_distribution
 from regimeclt.clt import _exact_distances, long_run_variance_exact
 from regimeclt.errors import BoundViolated, ConfigInvalid
@@ -261,7 +261,9 @@ class TestRunScenario:
             tables.append(result.csv_path.read_text())
         assert results[0] == results[1] and tables[0] == tables[1]
         model = Scenario.from_json_dict(scenario_dict(experiment="clt")).model
-        assert results[0]["normalizer_exact"] == math.sqrt(long_run_variance_exact(model))
+        assert results[0]["normalizer"] == math.sqrt(long_run_variance_exact(model))
+        assert "normalizer_exact" not in results[0]
+        assert "normalizer_exact" not in results[0]["convergence"]
         assert results[0]["ks_monotone_within_noise"] is True
         conv = results[0]["convergence"]
         assert conv["ks_distance"] == [_exact_distances(model, n, [0.5, 1.0, 2.0]).ks
@@ -270,6 +272,24 @@ class TestRunScenario:
         sections = {line.split(",")[0] for line in tables[0].splitlines()[1:]}
         assert sections == {"ks_distance", "cf_distance", "variance_ratio_exact", "lindeberg",
                             "remainder"}
+
+    def test_clt_artifacts_do_not_depend_on_seed_or_batches(self, tmp_path, monkeypatch):
+        # clt draws nothing, so only the scenario echo in report.json moves
+        # with the seed and the (validated, unused) batches.
+        def refuse(*args, **kwargs):
+            raise AssertionError("clt sampled")
+
+        monkeypatch.setattr(SeedSpec, "block_rng", refuse)
+        reports, tables = [], []
+        for seed, batches in ((7, 50), (7, 2000), (20260818, 50), (1, 2)):
+            obj = scenario_dict(experiment="clt", params=dict(FAST_CLT_PARAMS, batches=batches),
+                                seed={"base": seed, "stream": 3})
+            result = run_scenario(Scenario.from_json_dict(obj), tmp_path / f"{seed}-{batches}")
+            report = json.loads(result.report_path.read_text())
+            assert report.pop("scenario")["params"]["batches"] == batches
+            reports.append(report)
+            tables.append(result.csv_path.read_bytes())
+        assert all(r == reports[0] for r in reports) and all(t == tables[0] for t in tables)
 
     def test_clt_remainder_is_exact(self, tmp_path):
         # remainder_replicates is still validated but no longer read: the
@@ -342,6 +362,44 @@ class TestRunScenario:
         triples = result.report["results"]["n_conditional_rows"]
         assert triples == 5 * n_targets * n_family
         assert len(calls) <= 2 * n_family + k * n_targets < triples
+
+    @pytest.mark.parametrize("emissions", [
+        BENCH_MODEL_JSON["emissions"],
+        # Past 0.78 the mixture quantile lies above 0.5, where the first
+        # regime's half-line weight ties with its full line at exactly 1.0.
+        [{"family": "uniform", "a": -1.0, "b": 0.5}, {"family": "uniform", "a": -0.5, "b": 1.0}],
+    ], ids=["gaussian", "uniform"])
+    def test_cf_gap_certificate_solves_no_quantile(self, tmp_path, monkeypatch, emissions):
+        # The level family prunes to the full-line regime events plus the
+        # full space, whatever the levels, so the pool is built without them.
+        levels_sets = ([0.5], [0.25, 0.5, 0.75], [0.8, 0.9, 0.95],
+                       [round(0.05 * i, 2) for i in range(1, 20)])
+        model_json = dict(BENCH_MODEL_JSON, emissions=emissions)
+        model = Scenario.from_json_dict(scenario_dict(model=model_json)).model
+        expected = [epsilon_certificate(model, [2, 3], base_events=default_event_family(model, levels))
+                    for levels in levels_sets]
+        calls = []
+        original = process.mixture_quantile
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("regimeclt") and (
+                getattr(mod, "mixture_quantile", None) is original
+            ):
+                monkeypatch.setattr(mod, "mixture_quantile", counting)
+        for levels, eps in zip(levels_sets, expected):
+            params = {"lags": [2, 3], "t_grid": [1.0], "replicates": 200, "quantile_levels": levels}
+            s = Scenario.from_json_dict(scenario_dict(experiment="cf_gap", model=model_json,
+                                                      params=params))
+            result = run_scenario(s, tmp_path / str(len(levels)))
+            assert result.report["results"]["epsilon_hat"] == eps
+        assert calls == []
+        if emissions != BENCH_MODEL_JSON["emissions"]:
+            tie = default_event_family(model, [0.9])[0].weights(model)
+            assert tie.tolist() == [1.0, 0.0]
 
     def test_independence_certificate_uses_scenario_levels(self, tmp_path, monkeypatch):
         levels = [0.25, 0.5, 0.75]
@@ -593,13 +651,14 @@ class TestCli:
                                                                 monkeypatch, emissions):
         # R leaves float range (float ** overflows, or rate^3 underflows to a
         # zero divisor), or p^2 R^2 / n is infinite (mu=1e60); each is
-        # refused before any path is drawn.
-        import regimeclt.clt as clt_mod
+        # refused before the convergence measurements, which draw nothing.
+        import regimeclt.runner as runner_mod
 
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled before the remainder envelope was checked")
+        def refuse(*args, **kwargs):
+            raise AssertionError("measured before the remainder envelope was checked")
 
-        monkeypatch.setattr(clt_mod, "iter_path_chunks", no_sampling)
+        monkeypatch.setattr(runner_mod, "clt_convergence", refuse)
+        monkeypatch.setattr(SeedSpec, "block_rng", refuse)
         obj = scenario_dict(experiment="clt", params=FAST_CLT_PARAMS)
         obj["model"]["emissions"] = emissions
         path = write_scenario(tmp_path / "s.json", obj)
@@ -611,11 +670,12 @@ class TestCli:
 
     def test_run_walk_table_over_cap_is_config_error(self, tmp_path, capsys, monkeypatch):
         # A chain whose next-regime table passes the cap is refused with
-        # exit 1, not an internal error.
+        # exit 1, not an internal error. cf_gap samples; clt draws nothing.
         import regimeclt.process as process_mod
 
         monkeypatch.setattr(process_mod, "_WALK_TABLE_BYTES", 15)
-        path = write_scenario(tmp_path / "s.json", scenario_dict(experiment="clt", params=FAST_CLT_PARAMS))
+        params = {"lags": [2], "t_grid": [1.0], "replicates": 20, "quantile_levels": [0.5]}
+        path = write_scenario(tmp_path / "s.json", scenario_dict(experiment="cf_gap", params=params))
         code = cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")])
         assert code == 1
         err = json.loads(capsys.readouterr().err)
