@@ -25,7 +25,7 @@ from .independence import _transfer
 from .process import ModelSpec, iter_path_chunks, mixture_mean, mixture_variance
 from .seeds import SeedSpec
 
-# Batches behind a sampled cf gap's standard error; each takes at least one replicate.
+# Batches behind a sampled cf gap's standard error; each takes at least two replicates.
 CF_GAP_BATCHES = 20
 
 
@@ -184,26 +184,34 @@ def cf_factorization_gap_from_samples(samples, t_grid, n_batches: int = CF_GAP_B
 
     samples has one row per replicate and one column per variable. Both
     sides are computed from the same rows; the standard error is the spread
-    of per-batch gap estimates across a fixed split into n_batches batches.
+    of per-batch gap estimates across a fixed split into n_batches batches of
+    contiguous rows, each of at least two rows (a one-row batch has gap 0).
+    Per t, exp(itX) is taken once, exp(it sum X) is the product of its
+    columns, and one add.reduceat per side gives the batch sums, from which
+    the full-sample means follow.
     """
     # C order at entry: the reductions' last bits depend on the layout.
     x = np.ascontiguousarray(samples, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < n_batches or x.shape[1] < 2:
-        raise ValueError("samples must be (replicates, n_vars) with enough rows to batch")
+    if x.ndim != 2 or x.shape[0] < 2 * n_batches or x.shape[1] < 2:
+        raise ValueError("samples must be (replicates, n_vars) with at least two rows per batch")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))
     n_rep, n_vars = x.shape
-    sums = x.sum(axis=1)
+    # The array_split of the rows: the first n_rep % n_batches batches take one more.
+    sizes = np.full(n_batches, n_rep // n_batches)
+    sizes[: n_rep % n_batches] += 1
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
 
     gaps = np.empty(t_grid.shape)
     std_errors = np.empty(t_grid.shape)
-    bounds = np.array_split(np.arange(n_rep), n_batches)
     for j, t in enumerate(t_grid):
-        e_sum = np.exp(1j * t * sums)
         e_vars = np.exp(1j * t * x)
-        gaps[j] = abs(e_sum.mean() - np.prod(e_vars.mean(axis=0)))
-        batch_gaps = np.array(
-            [abs(e_sum[b].mean() - np.prod(e_vars[b].mean(axis=0))) for b in bounds]
-        )
+        e_sum = e_vars[:, 0] * e_vars[:, 1]
+        for r in range(2, n_vars):
+            e_sum *= e_vars[:, r]
+        var_sums = np.add.reduceat(e_vars, starts, axis=0)
+        sum_sums = np.add.reduceat(e_sum, starts)
+        gaps[j] = abs(sum_sums.sum() / n_rep - np.prod(var_sums.sum(axis=0) / n_rep))
+        batch_gaps = np.abs(sum_sums / sizes - np.prod(var_sums / sizes[:, None], axis=1))
         std_errors[j] = float(batch_gaps.std(ddof=1) / math.sqrt(n_batches))
     return CfGapReport(
         t_grid=t_grid, gaps=gaps, std_errors=std_errors, n_vars=n_vars, replicates=n_rep
@@ -221,9 +229,9 @@ def cf_factorization_gap(
     """Sample (X_1, ..., X_k) at the given spacings and measure the cf gap.
 
     Variables are the observations of one stationary path at time points
-    separated by the lags; replicates are independent paths drawn from the
-    block streams of iter_path_chunks, so replicate r is the same path for
-    every replicates > r.
+    separated by the lags; replicates are independent paths drawn at those
+    times only from the block streams of iter_path_chunks, so replicate r is
+    the same path for every replicates > r.
     """
     if seed is None:
         raise ValueError("a seed is required")

@@ -490,15 +490,14 @@ def _mc_tuple_gaps(
 
     joint_hits = np.zeros(len(family), dtype=np.int64)
     marg_hits = [np.zeros(len(events), dtype=np.int64) for events in slots]
-    n = int(t_idx[-1]) + 1
-    # A replicate draws 2n + 1 uniforms.
-    max_elements = min(CHUNK_ELEMENTS, max(1, 2**24 // len(family)) * (2 * n + 1))
+    # A replicate draws 2k + 1 uniforms: the initial regime, k moves, k observations.
+    max_elements = min(CHUNK_ELEMENTS, max(1, 2**24 // len(family)) * (2 * k + 1))
     stationary = model.stationary_start()
-    for _start, states, obs in iter_path_chunks(stationary, n, replicates, seed, times=t_idx,
-                                                max_elements=max_elements):
+    for _start, states, obs in iter_path_chunks(stationary, int(t_idx[-1]) + 1, replicates, seed,
+                                                times=t_idx, max_elements=max_elements):
         joint = True
         for r, events in enumerate(slots):
-            cols = states[:, t_idx[r]], obs[:, r]
+            cols = states[:, r], obs[:, r]
             ind = np.stack([ev.indicator(*cols) for ev in events], axis=1)
             marg_hits[r] += ind.sum(axis=0)
             joint = joint & ind[:, tuple_idx[:, r]]

@@ -570,8 +570,8 @@ class PathSample:
 # ---------------------------------------------------------------------------
 
 
-def _cumulative_rows(chain: TransitionMatrix) -> NDArray[np.float64]:
-    cum = np.cumsum(chain.p, axis=1)
+def _cumulative_rows(p: NDArray[np.float64]) -> NDArray[np.float64]:
+    cum = np.cumsum(p, axis=1)
     cum[:, -1] = 1.0  # guard against row sums a hair under 1
     return cum
 
@@ -656,26 +656,34 @@ def iter_path_chunks(
 ) -> Iterator[tuple[int, NDArray[np.int16], NDArray[np.float64]]]:
     """Simulate many replicate paths, yielding (start_index, states, obs) chunks.
 
-    Replicate r takes 2n + 1 uniforms (initial regime, n transitions, n
-    observations) from the stream of its block, seed.block_rng(r //
-    REPLICATE_BLOCK), after the r % REPLICATE_BLOCK replicates before it in
-    that block. The output is therefore independent of chunking, and the
-    first m replicates are the same for every n_paths >= m. states chunks are
-    (chunk, n) 1-based int16, obs chunks (chunk, n) float64. Given times, 0-based
-    steps, obs chunks are (chunk, len(times)): only those columns are
-    transformed, with the same values as in the full obs. The regimes of a
-    chunk come from _walk, which only buckets the drawn transition uniforms,
-    so the layout above is the whole of the draw order.
+    Paths are observed at the 0-based event times tau_0 < ... < tau_{k-1} in
+    0..n-1, every step when times is None. Replicate r takes 2k + 1 uniforms
+    (the initial regime; k moves, the first by P^(tau_0 + 1) and move j by
+    P^(tau_j - tau_{j-1}); k observations) from the stream of its block,
+    seed.block_rng(r // REPLICATE_BLOCK), after the r % REPLICATE_BLOCK
+    replicates before it in that block. The output is therefore independent
+    of chunking, and the first m replicates are the same for every n_paths
+    >= m. states chunks are (chunk, k) 1-based int16, obs chunks (chunk, k)
+    float64. _walk, called once per run of equal moves, only buckets the
+    drawn move uniforms, so the layout above is the whole of the draw order.
     """
     if n < 1 or n_paths < 1:
         raise InvalidModel("n and n_paths must be >= 1")
-    if times is not None:
-        times = np.asarray(times, dtype=np.int64)
-        if times.ndim != 1 or times.size == 0 or times.min() < 0 or times.max() >= n:
-            raise InvalidModel(f"times must be a non-empty 1-d array of steps in 0..{n - 1}")
-    draws_per_rep = 2 * n + 1
+    times = np.arange(n) if times is None else np.asarray(times, dtype=np.int64)
+    if (times.ndim != 1 or times.size == 0 or times[0] < 0 or times[-1] >= n
+            or np.any(times[1:] <= times[:-1])):
+        raise InvalidModel(f"times must be a non-empty, strictly increasing 1-d array of "
+                           f"steps in 0..{n - 1}")
+    k = times.size
+    moves = np.diff(times, prepend=-1).tolist()
+    # Every table is built, and refused over its cap, before the first draw;
+    # runs [a, b) of equal moves share one.
+    tables = {m: _walk_table(_cumulative_rows(np.linalg.matrix_power(model.chain.p, m)))
+              for m in set(moves)}
+    cuts = [0, *(j for j in range(1, k) if moves[j] != moves[j - 1]), k]
+    runs = [(a, b, tables[moves[a]]) for a, b in zip(cuts[:-1], cuts[1:])]
+    draws_per_rep = 2 * k + 1
     chunk_size = max(1, min(n_paths, max_elements // draws_per_rep))
-    thresholds, table = _walk_table(_cumulative_rows(model.chain))
     # A fixed regime j has cumsum(e_j) = (0, .., 0, 1, .., 1): every u in [0, 1) starts at j.
     cum_init = np.cumsum(model.initial_distribution())
     cum_init[-1] = 1.0
@@ -694,19 +702,18 @@ def iter_path_chunks(
             take = min(size - row, REPLICATE_BLOCK - offset)
             rng.random(out=u[row : row + take])
             row += take
-        s0 = np.searchsorted(cum_init, u[:, 0], side="right")
-        states = _walk(thresholds, table, s0, u[:, 1 : n + 1])
-        if times is None:
-            obs_states, u_obs = states, u[:, n + 1 :]
-        else:
-            obs_states, u_obs = states[:, times], u[:, n + 1 + times]
+        s = np.searchsorted(cum_init, u[:, 0], side="right")
+        states = np.empty((size, k), dtype=np.int16)
+        for a, b, (thresholds, table) in runs:
+            states[:, a:b] = _walk(thresholds, table, s, u[:, 1 + a : 1 + b])
+            s = states[:, b - 1]
         # Row blocks of about _WALK_SLAB_ELEMENTS keep the masks, gathers and
         # temporaries of the transform in cache.
-        obs = np.empty(u_obs.shape)
-        block = max(1, _WALK_SLAB_ELEMENTS // u_obs.shape[1])
+        obs = np.empty((size, k))
+        block = max(1, _WALK_SLAB_ELEMENTS // k)
         for r0 in range(0, size, block):
             rows = slice(r0, r0 + block)
-            obs[rows] = model.emissions.ppf_by_state(obs_states[rows], u_obs[rows])
+            obs[rows] = model.emissions.ppf_by_state(states[rows], u[rows, k + 1 :])
         yield start, states + np.int16(1), obs
         start += size
 

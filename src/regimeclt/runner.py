@@ -91,9 +91,11 @@ _INT_PARAMS = {"s_max", "replicates", "m", "remainder_replicates", "batches", "l
 _INT_LIST_PARAMS = {"tau_grid", "lags", "n_grid"}
 _FLOAT_LIST_PARAMS = {"t_grid", "eta_grid", "quantile_levels"}
 _FLOAT_PARAMS = {"eta", "alpha_exp"}
-# Smallest sample sizes: cf_gap batches its replicates, and clt's unused
-# replicates and batches keep their sampled-era minimum.
-_MIN_SAMPLES = {("cf_gap", "replicates"): CF_GAP_BATCHES, ("clt", "replicates"): 2, ("clt", "batches"): 2}
+# Smallest sample sizes: cf_gap batches its replicates two or more to a batch
+# (a one-row batch gap is 0), and clt's unused replicates and batches keep
+# their sampled-era minimum.
+_MIN_SAMPLES = {("cf_gap", "replicates"): 2 * CF_GAP_BATCHES, ("clt", "replicates"): 2,
+                ("clt", "batches"): 2}
 
 
 def _normalize_params(experiment: str, params: Mapping) -> dict:

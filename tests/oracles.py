@@ -218,6 +218,53 @@ def path_chunks_loop(model, n: int, n_paths: int, seed) -> tuple[np.ndarray, np.
     return states + 1, _observations(model, states, u[:, n + 1 :])
 
 
+def event_chunks_loop(model, times, n_paths: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """All n_paths replicates of iter_path_chunks(..., times=times) as (1-based states, obs).
+
+    Each block's uniforms are drawn in one call, one row of 2k + 1 per
+    replicate for k event times (initial regime, k moves, k observations).
+    Move j is walked with walk_loop on the cumulative rows of P^move, move
+    0 from the initial regime over tau_0 + 1 steps.
+    """
+    k = len(times)
+    u = np.concatenate([
+        seed.block_rng(b).random((min(REPLICATE_BLOCK, n_paths - b * REPLICATE_BLOCK), 2 * k + 1))
+        for b in range(-(-n_paths // REPLICATE_BLOCK))
+    ])
+    states = np.empty((n_paths, k), dtype=np.int16)
+    s, prev = _initial_states(model, u[:, 0]), -1
+    for j, t in enumerate(times):
+        cum = _cumulative_rows(np.linalg.matrix_power(model.chain.p, int(t) - prev))
+        s = states[:, j] = walk_loop(cum, s, u[:, 1 + j : 2 + j])[:, 0]
+        prev = int(t)
+    return states + 1, _observations(model, states, u[:, k + 1 :])
+
+
+# ---------------------------------------------------------------------------
+# characteristic functions
+# ---------------------------------------------------------------------------
+
+
+def cf_gap_batches_loop(samples, t_grid, n_batches: int = 20) -> tuple[np.ndarray, np.ndarray]:
+    """Gap |ecf(sum) - prod ecf(X_r)| and its batch standard error per t.
+
+    Direct formula: exp(it sum X) from the row sums, full-sample means, and
+    each of the n_batches np.array_split batches copied out and averaged on
+    its own; the error is the sample sd of the batch gaps over sqrt(batches).
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    sums = x.sum(axis=1)
+    gaps, std_errors = [], []
+    for t in np.atleast_1d(t_grid):
+        e_sum = np.exp(1j * t * sums)
+        e_vars = np.exp(1j * t * x)
+        gaps.append(abs(e_sum.mean() - np.prod(e_vars.mean(axis=0))))
+        batch_gaps = [abs(e_sum[b].mean() - np.prod(e_vars[b].mean(axis=0)))
+                      for b in np.array_split(np.arange(len(x)), n_batches)]
+        std_errors.append(np.std(batch_gaps, ddof=1) / math.sqrt(n_batches))
+    return np.array(gaps), np.array(std_errors)
+
+
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
@@ -454,23 +501,15 @@ def lindeberg_mc(
 def joint_product_gap_mc_loop(model, events, lags, replicates: int, seed) -> tuple[float, float]:
     """Monte Carlo |joint - product| gap and its standard error, one tuple.
 
-    Hit counts come from the stationary paths of iter_path_chunks; the error
-    adds the joint rate's binomial variance to the delta-method variance of
-    the product, one marginal at a time.
+    Hit counts come from the stationary event-time paths of
+    event_chunks_loop; the error adds the joint rate's binomial variance to
+    the delta-method variance of the product, one marginal at a time.
     """
     t_idx = np.concatenate([[0], np.cumsum(lags)])
-    joint_hits = 0
-    marg_hits = np.zeros(len(events), dtype=np.int64)
-    for _start, states, obs in iter_path_chunks(
-        model.stationary_start(), int(t_idx[-1]) + 1, replicates, seed
-    ):
-        ind = np.stack(
-            [ev.indicator(states[:, t], obs[:, t]) for ev, t in zip(events, t_idx)], axis=1
-        )
-        marg_hits += ind.sum(axis=0)
-        joint_hits += int(ind.all(axis=1).sum())
-    joint = joint_hits / replicates
-    margs = marg_hits / replicates
+    states, obs = event_chunks_loop(model.stationary_start(), t_idx, replicates, seed)
+    ind = np.stack([ev.indicator(states[:, r], obs[:, r]) for r, ev in enumerate(events)], axis=1)
+    joint = int(ind.all(axis=1).sum()) / replicates
+    margs = ind.sum(axis=0) / replicates
     product = float(np.prod(margs))
     var = joint * (1.0 - joint) / replicates
     for m in margs:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from regimeclt.charfn import (
     CfGapReport,
     StepApproximation,
@@ -18,7 +19,7 @@ from regimeclt.charfn import (
 )
 from regimeclt.errors import ConfigInvalid
 from regimeclt.independence import epsilon_certificate
-from regimeclt.process import iter_path_chunks, mixture_cdf, mixture_mean, mixture_variance
+from regimeclt.process import mixture_cdf, mixture_mean, mixture_variance
 from regimeclt.seeds import SeedSpec
 
 
@@ -170,6 +171,22 @@ class TestCfGapFromSamples:
             cf_factorization_gap_from_samples(np.ones((10, 2)), [1.0], n_batches=20)
         with pytest.raises(ValueError):
             cf_factorization_gap_from_samples(np.ones((50, 1)), [1.0])
+        # One row per batch would make every batch gap 0: two rows each are needed.
+        with pytest.raises(ValueError, match="two rows per batch"):
+            cf_factorization_gap_from_samples(np.ones((39, 2)), [1.0])
+        assert cf_factorization_gap_from_samples(np.ones((40, 2)), [1.0]).replicates == 40
+
+    @pytest.mark.parametrize("n_rep,n_vars,n_batches", [(40, 2, 20), (1_003, 3, 20), (20_017, 4, 20),
+                                                        (5_000, 5, 7)])
+    def test_one_pass_matches_the_batch_loop(self, n_rep, n_vars, n_batches):
+        # n_rep not divisible by the batch count gives batches of two sizes.
+        rng = np.random.default_rng(n_rep)
+        x = np.cumsum(rng.standard_normal((n_rep, n_vars)), axis=1) * rng.uniform(0.5, 2.0)
+        t_grid = [-1.5, 0.3, 0.5, 1.0, 2.0, 4.0]
+        rep = cf_factorization_gap_from_samples(x, t_grid, n_batches=n_batches)
+        gaps, std_errors = oracles.cf_gap_batches_loop(x, t_grid, n_batches)
+        np.testing.assert_allclose(rep.gaps, gaps, rtol=1e-12)
+        np.testing.assert_allclose(rep.std_errors, std_errors, rtol=1e-12)
 
 
 class TestCfGapFromModel:
@@ -197,15 +214,13 @@ class TestCfGapFromModel:
         np.testing.assert_array_equal(a.gaps, b.gaps)
         np.testing.assert_array_equal(a.std_errors, b.std_errors)
 
-    def test_rows_are_the_full_paths_at_the_event_times(self, bench_model):
-        # cf_factorization_gap transforms only the observations at steps
-        # 0, 5, 10; its rows equal those columns of the full paths.
+    def test_rows_are_the_stationary_event_time_observations(self, bench_model):
+        # cf_factorization_gap samples the stationary path at steps 0, 5, 10
+        # only; its rows are the event-time observations of the stream layout.
         seed, replicates = SeedSpec(88, 4), 3_000
-        full = np.empty((replicates, 11))
-        for start, _states, obs in iter_path_chunks(bench_model, 11, replicates, seed):
-            full[start : start + obs.shape[0]] = obs
-        rows = full[:, [0, 5, 10]]  # Fortran-ordered; the function takes it to C order
-        expected = cf_factorization_gap_from_samples(rows, [0.5, 1.0, 2.0])
+        _states, obs = oracles.event_chunks_loop(bench_model.stationary_start(), [0, 5, 10],
+                                                 replicates, seed)
+        expected = cf_factorization_gap_from_samples(obs, [0.5, 1.0, 2.0])
         rep = cf_factorization_gap(bench_model, (5, 5), [0.5, 1.0, 2.0], replicates=replicates,
                                    seed=seed)
         np.testing.assert_array_equal(rep.gaps, expected.gaps)

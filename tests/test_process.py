@@ -383,9 +383,9 @@ class TestSamplePath:
 class TestIterPathChunks:
     @staticmethod
     def _collect(model, n, n_paths, seed, **kwargs):
-        states = np.empty((n_paths, n), dtype=np.int16)
         times = kwargs.get("times")
-        obs = np.empty((n_paths, n if times is None else len(times)))
+        states = np.empty((n_paths, n if times is None else len(times)), dtype=np.int16)
+        obs = np.empty(states.shape)
         for start, s, x in iter_path_chunks(model, n, n_paths, seed, **kwargs):
             states[start : start + s.shape[0]] = s
             obs[start : start + s.shape[0]] = x
@@ -445,10 +445,34 @@ class TestIterPathChunks:
 
     @settings(max_examples=60, deadline=None)
     @example(model=ZERO_ROW_MODELS[0], n=9, n_paths=REPLICATE_BLOCK + 5, max_elements=1000,
+             slab=7, base=3)
+    @example(model=ZERO_ROW_MODELS[1], n=1, n_paths=40, max_elements=1, slab=1, base=4)
+    @example(model=ZERO_ROW_MODELS[2], n=33, n_paths=12, max_elements=200, slab=64, base=5)
+    @given(
+        model=walk_models(),
+        n=st.integers(1, 40),
+        n_paths=st.integers(1, 60),
+        max_elements=st.integers(1, 500),
+        slab=st.sampled_from([1, 2, 7, 64, process._WALK_SLAB_ELEMENTS]),
+        base=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_walk_loop(self, model, n, n_paths, max_elements, slab, base):
+        # A small slab splits the walk and the row-blocked observation
+        # transform over many slabs (one row each at slab 1), and a small
+        # max_elements splits the replicates over many chunks.
+        seed = SeedSpec(base, 1)
+        with mock.patch.object(process, "_WALK_SLAB_ELEMENTS", slab):
+            states, obs = self._collect(model, n, n_paths, seed, max_elements=max_elements)
+        expect_states, expect_obs = oracles.path_chunks_loop(model, n, n_paths, seed)
+        np.testing.assert_array_equal(states, expect_states)
+        np.testing.assert_array_equal(obs, expect_obs)
+
+    @settings(max_examples=60, deadline=None)
+    @example(model=ZERO_ROW_MODELS[0], n=9, n_paths=REPLICATE_BLOCK + 5, max_elements=1000,
              slab=7, base=3, picks=[0, 4, 8])
     @example(model=ZERO_ROW_MODELS[1], n=1, n_paths=40, max_elements=1, slab=1, base=4, picks=[0])
     @example(model=ZERO_ROW_MODELS[2], n=33, n_paths=12, max_elements=200, slab=64, base=5,
-             picks=[32, 0, 32])
+             picks=[32, 0, 31, 1])
     @given(
         model=walk_models(),
         n=st.integers(1, 40),
@@ -458,34 +482,54 @@ class TestIterPathChunks:
         base=st.integers(0, 2**32 - 1),
         picks=st.lists(st.integers(0, 39), min_size=1, max_size=5),
     )
-    def test_matches_walk_loop(self, model, n, n_paths, max_elements, slab, base, picks):
-        # A small slab splits the walk and the row-blocked observation
-        # transform over many slabs (one row each at slab 1), and a small
-        # max_elements splits the replicates over many chunks.
+    def test_event_times_match_event_loop(self, model, n, n_paths, max_elements, slab, base,
+                                          picks):
+        # Event times with moves of one and of several steps, repeated and
+        # not: runs of equal moves share a _walk call, and each move is
+        # walked here on its own P^move.
         seed = SeedSpec(base, 1)
-        times = [t % n for t in picks]
+        times = sorted({t % n for t in picks})
         with mock.patch.object(process, "_WALK_SLAB_ELEMENTS", slab):
-            states, obs = self._collect(model, n, n_paths, seed, max_elements=max_elements)
-            _, obs_at = self._collect(model, n, n_paths, seed, max_elements=max_elements,
-                                      times=times)
-        expect_states, expect_obs = oracles.path_chunks_loop(model, n, n_paths, seed)
+            states, obs = self._collect(model, n, n_paths, seed, max_elements=max_elements,
+                                        times=times)
+        expect_states, expect_obs = oracles.event_chunks_loop(model, times, n_paths, seed)
         np.testing.assert_array_equal(states, expect_states)
         np.testing.assert_array_equal(obs, expect_obs)
-        np.testing.assert_array_equal(obs_at, expect_obs[:, times])
 
-    @pytest.mark.parametrize("max_elements", [23, 23 * 700, 10_000_000])
-    def test_times_select_columns_bit_for_bit(self, bench_model, max_elements):
-        # 3,000 replicates of 11 steps cross a block boundary; max_elements
-        # 23 is one replicate per chunk.
-        n, n_paths, seed = 11, 3_000, SeedSpec(61, 2)
-        times = [0, 5, 10, 5]
-        states, obs = self._collect(bench_model, n, n_paths, seed, max_elements=max_elements)
-        states_at, obs_at = self._collect(bench_model, n, n_paths, seed,
-                                          max_elements=max_elements, times=times)
-        np.testing.assert_array_equal(states_at, states)
-        np.testing.assert_array_equal(obs_at, obs[:, times])
+    @pytest.mark.parametrize("max_elements", [7, 7 * 700, 10_000_000])
+    def test_event_times_match_event_loop_across_blocks(self, bench_model, max_elements):
+        # 3,000 replicates cross two block boundaries; three event times take
+        # 7 uniforms a replicate, so max_elements 7 is one replicate per chunk
+        # and 7 * 700 ends chunks mid-block.
+        n_paths, seed, times = 3_000, SeedSpec(61, 2), [0, 5, 10]
+        for model in (bench_model, ZERO_ROW_MODELS[1]):
+            states, obs = self._collect(model, 11, n_paths, seed, max_elements=max_elements,
+                                        times=times)
+            expect_states, expect_obs = oracles.event_chunks_loop(model, times, n_paths, seed)
+            np.testing.assert_array_equal(states, expect_states)
+            np.testing.assert_array_equal(obs, expect_obs)
 
-    @pytest.mark.parametrize("times", [[], [5], [-1], [[0, 1]]])
+    @pytest.mark.parametrize("model", ZERO_ROW_MODELS, ids=["stationary", "fixed", "vector"])
+    def test_event_time_regimes_follow_the_exact_law(self, model):
+        # The regime at tau_a has law mu_a = mu P^(tau_a + 1) for the initial
+        # law mu (e_3 for the fixed start, pi for the stationary one), and the
+        # pair at tau_a < tau_b has law mu_a,i (P^(tau_b - tau_a))_ij. Every
+        # pair frequency lies within 5 binomial SE of it; a cell of
+        # probability 0 is never hit.
+        times, replicates = [1, 2, 5], 200_000
+        states, _obs = self._collect(model, 6, replicates, SeedSpec(404, 1), times=times)
+        p = model.chain.p
+        laws = [model.initial_distribution() @ np.linalg.matrix_power(p, t + 1) for t in times]
+        if model.initial == "stationary":
+            np.testing.assert_allclose(laws[0], model.stationary(), atol=1e-15)
+        for a, b in [(0, 1), (1, 2), (0, 2)]:
+            expect = laws[a][:, None] * np.linalg.matrix_power(p, times[b] - times[a])
+            freq = np.zeros_like(expect)
+            np.add.at(freq, (states[:, a] - 1, states[:, b] - 1), 1.0 / replicates)
+            se = np.sqrt(expect * (1.0 - expect) / replicates)
+            assert np.all(np.abs(freq - expect) <= 5.0 * se), (a, b, freq, expect)
+
+    @pytest.mark.parametrize("times", [[], [5], [-1], [[0, 1]], [0, 0], [5, 2], [3, 1]])
     def test_times_validation(self, bench_model, times):
         with pytest.raises(InvalidModel):
             list(iter_path_chunks(bench_model, 5, 3, SeedSpec(1), times=times))
@@ -597,6 +641,22 @@ class TestIterPathChunks:
                 list(iter_path_chunks(bench_model, 10, 5, SeedSpec(1)))
         with mock.patch.object(process, "_WALK_TABLE_BYTES", 16):
             assert len(sample_path(bench_model, 10, SeedSpec(1))) == 10
+
+    def test_power_table_over_cap_refused_before_drawing(self):
+        # P^2 of the zero-row chain has more distinct cumulative values than
+        # P, so a cap that P's table meets refuses the table of a two-step move.
+        model = ZERO_ROW_MODELS[0]
+        p = model.chain.p
+        one, two = (process._walk_table(oracles._cumulative_rows(np.linalg.matrix_power(p, m)))[1]
+                    for m in (1, 2))
+        assert two.nbytes > one.nbytes
+        no_block_draws = mock.patch.object(SeedSpec, "block_rng", side_effect=AssertionError("drew"))
+        with mock.patch.object(process, "_WALK_TABLE_BYTES", one.nbytes), no_block_draws:
+            for times in ([0, 2], [1], [0, 1, 3]):
+                with pytest.raises(InvalidModel, match="next-regime table"):
+                    list(iter_path_chunks(model, 4, 5, SeedSpec(1), times=times))
+        with mock.patch.object(process, "_WALK_TABLE_BYTES", one.nbytes):
+            assert len(sample_path(model, 10, SeedSpec(1))) == 10
 
     def test_rejects_degenerate_requests(self, bench_model):
         with pytest.raises(InvalidModel):

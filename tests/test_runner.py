@@ -674,7 +674,7 @@ class TestCli:
         import regimeclt.process as process_mod
 
         monkeypatch.setattr(process_mod, "_WALK_TABLE_BYTES", 15)
-        params = {"lags": [2], "t_grid": [1.0], "replicates": 20, "quantile_levels": [0.5]}
+        params = {"lags": [2], "t_grid": [1.0], "replicates": 40, "quantile_levels": [0.5]}
         path = write_scenario(tmp_path / "s.json", scenario_dict(experiment="cf_gap", params=params))
         code = cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")])
         assert code == 1
@@ -696,11 +696,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "experiment,params,flags,message",
-        [("cf_gap", {"replicates": 5}, [], "'replicates' must be >= 20"),
+        [("cf_gap", {"replicates": 5}, [], "'replicates' must be >= 40"),
+         ("cf_gap", {"replicates": 39}, [], "'replicates' must be >= 40"),
          ("clt", dict(FAST_CLT_PARAMS, batches=1), [], "'batches' must be >= 2"),
          ("clt", dict(FAST_CLT_PARAMS, replicates=1), [], "'replicates' must be >= 2"),
          ("clt", FAST_CLT_PARAMS, ["--replicates", "1"], "'replicates' must be >= 2")],
-        ids=["cf_gap-replicates=5", "clt-batches=1", "clt-replicates=1", "clt-flag-replicates=1"],
+        ids=["cf_gap-replicates=5", "cf_gap-replicates=39", "clt-batches=1", "clt-replicates=1",
+             "clt-flag-replicates=1"],
     )
     def test_run_too_few_samples_is_config_error(self, tmp_path, capsys, monkeypatch,
                                                  experiment, params, flags, message):
@@ -719,7 +721,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "experiment,params",
-        [("cf_gap", {"lags": [2], "t_grid": [1.0], "replicates": 20, "quantile_levels": [0.5]}),
+        [("cf_gap", {"lags": [2], "t_grid": [1.0], "replicates": 40, "quantile_levels": [0.5]}),
          ("clt", dict(FAST_CLT_PARAMS, replicates=2, batches=2))],
         ids=["cf_gap", "clt"],
     )
