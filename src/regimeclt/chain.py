@@ -168,10 +168,15 @@ class MixingProfile:
             raise ValueError("prefactor c must be finite and nonnegative")
 
     def bound(self, s: int) -> float:
-        """c * alpha**s, the certified envelope at lag s."""
-        if s < 0:
-            raise ValueError("lag must be nonnegative")
+        """c * alpha**s, the certified envelope at a lag s in 0..s_max."""
+        self.require_lag(s)
         return self.c * self.alpha**s
+
+    def require_lag(self, s: int) -> None:
+        """Refuse a lag outside 0..s_max: c was fitted on that range only,
+        and past it the envelope can fall below the true gap."""
+        if not 0 <= s <= len(self.gaps):
+            raise ValueError(f"lag {s} lies outside the certified range 0..{len(self.gaps)}")
 
 
 # ---------------------------------------------------------------------------

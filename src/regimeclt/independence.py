@@ -39,9 +39,6 @@ MAX_EXACT_EVENTS = 6
 MAX_EXACT_CERTIFICATE_BYTES = 2**30
 # Tuples of an explicit family scored per stacked product.
 EXPLICIT_FAMILY_CHUNK = 1 << 16
-# Absolute slack for exact-arithmetic bound comparisons; covers accumulated
-# round-off in matrix powers.
-BOUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -113,9 +110,10 @@ class GapReport:
 
 
 def _profile_for(model: ModelSpec, horizon: int, profile: MixingProfile | None) -> MixingProfile:
-    if profile is not None:
-        return profile
-    return mixing_rate(model.chain, s_max=max(horizon, 2))
+    if profile is None:
+        return mixing_rate(model.chain, s_max=max(horizon, 2))
+    profile.require_lag(horizon)
+    return profile
 
 
 def _validate_lags(lags: Sequence[int], k: int) -> tuple[int, ...]:
@@ -270,8 +268,10 @@ def chained_gap_bound(profile: MixingProfile, lags: Sequence[int]) -> float:
 
     Splitting off one event at a time bounds the joint-product gap by
     2 c sum_r alpha^tau_r. Unlike the k c alpha^(sum lags) form, exact gaps
-    respect this envelope on every tested configuration.
+    respect this envelope on every tested configuration. A lag past the
+    profile's s_max raises ValueError.
     """
+    profile.require_lag(max(lags, default=0))
     return 2.0 * profile.c * float(sum(profile.alpha**int(t) for t in lags))
 
 

@@ -39,9 +39,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
 # Default cap on the uniforms one iter_path_chunks chunk draws (80 MB).
 CHUNK_ELEMENTS = 10_000_000
-# _walk buckets the transition uniforms, and iter_path_chunks transforms the
-# observation uniforms, in slabs of about this many elements, so their scratch
-# stays near 2 MiB whatever the (paths, steps) shape.
+# iter_path_chunks transforms the observation uniforms in row blocks of about
+# this many elements, so the transform's scratch stays near 2 MiB whatever the
+# (paths, steps) shape.
 _WALK_SLAB_ELEMENTS = 1 << 18
 # Largest next-regime table _walk_table builds: about 2^25 int16 entries,
 # enough for any chain of up to 322 states.
@@ -605,47 +605,6 @@ def _walk_table(cum: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[
     return thresholds, table
 
 
-def _walk(
-    thresholds: NDArray[np.float64],
-    table: NDArray[np.int16],
-    s0: NDArray[np.int64],
-    u_steps: NDArray[np.float64],
-) -> NDArray[np.int16]:
-    """Walk the chain from the 0-based start regimes s0 under u_steps.
-
-    u_steps is (paths, n); step t of path i moves regime j to table[b, j],
-    b the bucket of u_steps[i, t] among thresholds (see _walk_table). Each
-    slab of about _WALK_SLAB_ELEMENTS uniforms is bucketed by one
-    searchsorted, and each step is then one take from the table, or one
-    memoryview lookup when there is a single path. Nothing is drawn here, so
-    the draw order is the callers'. Returns the (paths, n) 0-based regimes.
-    """
-    n_states = table.shape[1]
-    flat = table.ravel()
-    size, n = u_steps.shape
-    states = np.empty((size, n), dtype=np.int16)
-    slab_steps = max(1, _WALK_SLAB_ELEMENTS // size)
-    s = s0
-    for t0 in range(0, n, slab_steps):
-        rows = np.searchsorted(thresholds, u_steps[:, t0 : t0 + slab_steps].T, side="right")
-        rows *= n_states
-        if size > 1:
-            # Each step fills one contiguous row of a (steps, paths) slab,
-            # and the slab is transposed into states once.
-            slab = np.empty(rows.shape, dtype=np.int16)
-            for row, out in zip(rows, slab):
-                s = flat.take(row + s, out=out)
-            states[:, t0 : t0 + len(slab)] = slab.T
-            continue
-        # One path: a memoryview lookup per step costs less than a numpy call.
-        lookup, out = memoryview(flat), [int(s[0])]
-        for row in rows[:, 0].tolist():
-            out.append(lookup[row + out[-1]])
-        states[0, t0 : t0 + len(out) - 1] = out[1:]
-        s = out[-1:]
-    return states
-
-
 def iter_path_chunks(
     model: ModelSpec,
     n: int,
@@ -664,8 +623,9 @@ def iter_path_chunks(
     replicates before it in that block. The output is therefore independent
     of chunking, and the first m replicates are the same for every n_paths
     >= m. states chunks are (chunk, k) 1-based int16, obs chunks (chunk, k)
-    float64. _walk, called once per run of equal moves, only buckets the
-    drawn move uniforms, so the layout above is the whole of the draw order.
+    float64. Move j is one bucket search of its drawn uniforms and one lookup
+    in the _walk_table of P^move for all paths; nothing else is drawn, so the
+    layout above is the whole of the draw order.
     """
     if n < 1 or n_paths < 1:
         raise InvalidModel("n and n_paths must be >= 1")
@@ -676,12 +636,10 @@ def iter_path_chunks(
                            f"steps in 0..{n - 1}")
     k = times.size
     moves = np.diff(times, prepend=-1).tolist()
-    # Every table is built, and refused over its cap, before the first draw;
-    # runs [a, b) of equal moves share one.
+    # One table per distinct move, each built, and refused over its cap, before
+    # the first draw.
     tables = {m: _walk_table(_cumulative_rows(np.linalg.matrix_power(model.chain.p, m)))
               for m in set(moves)}
-    cuts = [0, *(j for j in range(1, k) if moves[j] != moves[j - 1]), k]
-    runs = [(a, b, tables[moves[a]]) for a, b in zip(cuts[:-1], cuts[1:])]
     draws_per_rep = 2 * k + 1
     chunk_size = max(1, min(n_paths, max_elements // draws_per_rep))
     # A fixed regime j has cumsum(e_j) = (0, .., 0, 1, .., 1): every u in [0, 1) starts at j.
@@ -704,9 +662,9 @@ def iter_path_chunks(
             row += take
         s = np.searchsorted(cum_init, u[:, 0], side="right")
         states = np.empty((size, k), dtype=np.int16)
-        for a, b, (thresholds, table) in runs:
-            states[:, a:b] = _walk(thresholds, table, s, u[:, 1 + a : 1 + b])
-            s = states[:, b - 1]
+        for j, move in enumerate(moves):
+            thresholds, table = tables[move]
+            s = states[:, j] = table[np.searchsorted(thresholds, u[:, 1 + j], side="right"), s]
         # Row blocks of about _WALK_SLAB_ELEMENTS keep the masks, gathers and
         # temporaries of the transform in cache.
         obs = np.empty((size, k))

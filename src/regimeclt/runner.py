@@ -42,7 +42,6 @@ from .clt import KS_EXACT_ATOL, clt_convergence, decompose, remainder_diagnostic
 from .errors import (BoundViolated, ConfigInvalid, GapExceedsBlock, InvalidModel, RegimecltError,
                      TooManyEventsForExact)
 from .independence import (
-    BOUND_SLACK,
     RectEvent,
     chained_gap_bound,
     conditional_gap_matrix,
@@ -116,8 +115,6 @@ def _normalize_params(experiment: str, params: Mapping) -> dict:
                 merged[key] = [_as_int(v, key, minimum=1) for v in _as_list(value, key)]
             elif key in _FLOAT_LIST_PARAMS:
                 merged[key] = [_as_float(v, key) for v in _as_list(value, key)]
-        except ConfigInvalid:
-            raise
         except (TypeError, ValueError) as exc:
             raise ConfigInvalid(f"parameter {key!r}: {exc}") from exc
     if merged.get("eta", 1.0) <= 0.0:
@@ -265,6 +262,9 @@ def load_scenario(path) -> Scenario:
 
 # Report row: (section, label, value, std_error or None, bound or None).
 Row = tuple[str, str, float, float | None, float | None]
+# Absolute slack for exact-arithmetic bound comparisons; covers accumulated
+# round-off in matrix powers.
+BOUND_SLACK = 1e-12
 
 
 def _check(rows: list[Row], violations: list[str], section: str, label: str,

@@ -363,6 +363,33 @@ class TestEnvelopes:
                 rep = joint_product_gap(model, [ev, ev, ev], (3, 6), profile=prof)
                 assert rep.gap_estimate <= chained_gap_bound(prof, (3, 6)) + 1e-12
 
+    def test_envelopes_refuse_lags_past_the_fitted_range(self):
+        # c fitted on s <= 10 extrapolates to 0.147 at s = 40, where the true
+        # sup gap of this slowly mixing chain is 0.252: the envelope would not
+        # cover it, so every route refuses a lag past the profile's s_max.
+        model = _gaussian_model(np.array([[.19, 0, .04, 0, .77], [0, .99, .01, 0, 0],
+                                          [0, 0, .9, .1, 0], [.33, .03, .61, .03, 0],
+                                          [0, .05, 0, 0, .95]]))
+        prof = mixing_rate(model.chain, s_max=10)
+        gap_40 = oracles.sup_gap_brute(model.chain.p, model.stationary(), 40)
+        assert prof.c * prof.alpha**40 == pytest.approx(0.147, abs=1e-3)
+        assert gap_40 == pytest.approx(0.252, abs=1e-3)
+        with pytest.raises(ValueError, match="certified range"):
+            prof.bound(40)
+        with pytest.raises(ValueError, match="certified range"):
+            prof.bound(11)
+        with pytest.raises(ValueError, match="certified range"):
+            chained_gap_bound(prof, (3, 11))
+        event = RectEvent(frozenset({2}))
+        with pytest.raises(ValueError, match="certified range"):
+            joint_product_gap(model, [event] * 3, (5, 6), profile=prof)
+        # Within the range every route answers, and the bounds cover the gaps.
+        for s, gap in prof.gaps:
+            assert gap <= prof.bound(s) + 1e-12
+        rep = joint_product_gap(model, [event] * 3, (5, 5), profile=prof)
+        assert rep.gap_estimate <= chained_gap_bound(prof, (5, 5)) + 1e-12
+        assert chained_gap_bound(prof, (10, 10)) == pytest.approx(4.0 * prof.bound(10), rel=1e-12)
+
     def test_chained_bound_value(self, bench_chain):
         prof = mixing_rate(bench_chain, s_max=30)
         expected = 2.0 * prof.c * (prof.alpha**3 + prof.alpha**7)

@@ -457,9 +457,9 @@ class TestIterPathChunks:
         base=st.integers(0, 2**32 - 1),
     )
     def test_matches_walk_loop(self, model, n, n_paths, max_elements, slab, base):
-        # A small slab splits the walk and the row-blocked observation
-        # transform over many slabs (one row each at slab 1), and a small
-        # max_elements splits the replicates over many chunks.
+        # A small slab splits the row-blocked observation transform over
+        # many blocks (one row each at slab 1), and a small max_elements
+        # splits the replicates over many chunks.
         seed = SeedSpec(base, 1)
         with mock.patch.object(process, "_WALK_SLAB_ELEMENTS", slab):
             states, obs = self._collect(model, n, n_paths, seed, max_elements=max_elements)
@@ -485,7 +485,7 @@ class TestIterPathChunks:
     def test_event_times_match_event_loop(self, model, n, n_paths, max_elements, slab, base,
                                           picks):
         # Event times with moves of one and of several steps, repeated and
-        # not: runs of equal moves share a _walk call, and each move is
+        # not: equal moves share one next-regime table, and each move is
         # walked here on its own P^move.
         seed = SeedSpec(base, 1)
         times = sorted({t % n for t in picks})
@@ -535,22 +535,36 @@ class TestIterPathChunks:
             list(iter_path_chunks(bench_model, 5, 3, SeedSpec(1), times=times))
 
     @settings(max_examples=60, deadline=None)
-    @given(model=walk_models(), size=st.integers(1, 6), n=st.integers(1, 30),
-           slab=st.sampled_from([1, 5, process._WALK_SLAB_ELEMENTS]), base=st.integers(0, 2**32 - 1))
-    def test_walk_matches_walk_loop_at_ties(self, model, size, n, slab, base):
-        # Uniforms equal to a cumulative value, or one ulp below it, decide
-        # which side of a threshold a tie falls on; random draws almost never
-        # hit them.
-        cum = np.cumsum(model.chain.p, axis=1)
-        cum[:, -1] = 1.0
+    @given(model=walk_models(), size=st.integers(1, 6), k=st.integers(1, 30),
+           move=st.sampled_from([1, 2, 5]), base=st.integers(0, 2**32 - 1))
+    def test_walk_matches_walk_loop_at_ties(self, model, size, k, move, base):
+        # Uniforms equal to a cumulative value of P^move, or one ulp below it,
+        # decide which side of a threshold a tie falls on; random draws almost
+        # never hit them. Event times move - 1, 2 move - 1, ... make every move
+        # P^move (move 1 is the full path), and the stubbed block stream feeds
+        # tie values to every move uniform.
+        cum = oracles._cumulative_rows(np.linalg.matrix_power(model.chain.p, move))
         ties = np.unique(cum[cum < 1.0])
         values = np.concatenate(([0.0], ties, np.nextafter(ties, 0.0)))
         rng = np.random.default_rng(base)
-        u = rng.choice(values, size=(size, n))
-        s0 = rng.integers(0, model.n_states, size=size)
-        with mock.patch.object(process, "_WALK_SLAB_ELEMENTS", slab):
-            states = process._walk(*process._walk_table(cum), s0, u)
-        np.testing.assert_array_equal(states, oracles.walk_loop(cum, s0, u))
+        u = rng.random((size, 2 * k + 1))
+        u[:, 1 : k + 1] = rng.choice(values, size=(size, k))
+
+        class Draws:
+            # The one block stream hands out the rows of u in order.
+            row = 0
+
+            def random(self, out):
+                out[:] = u[self.row : self.row + len(out)]
+                self.row += len(out)
+
+        times = move * np.arange(1, k + 1) - 1
+        with mock.patch.object(SeedSpec, "block_rng", return_value=Draws()):
+            states, obs = self._collect(model, move * k, size, SeedSpec(1), times=times)
+        s0 = oracles._initial_states(model, u[:, 0])
+        expect = oracles.walk_loop(cum, s0, u[:, 1 : k + 1])
+        np.testing.assert_array_equal(states, expect + 1)
+        np.testing.assert_array_equal(obs, oracles._observations(model, expect, u[:, k + 1 :]))
 
     @pytest.mark.parametrize("n,n_paths", [(4000, 150), (3, process._WALK_SLAB_ELEMENTS + 10)],
                              ids=["long-paths", "many-paths"])
@@ -564,20 +578,24 @@ class TestIterPathChunks:
         np.testing.assert_array_equal(obs, expect_obs)
 
     def test_walk_scratch_stays_within_a_few_slabs(self):
-        # The walk's memory beyond its (paths, n) int16 output is the
-        # bucketed slab, not the whole (paths, n) uniform array.
-        cum = np.cumsum([[0.98, 0.015, 0.005], [0.01, 0.98, 0.01], [0.005, 0.015, 0.98]], axis=1)
-        cum[:, -1] = 1.0
-        u = np.random.default_rng(3).random((300, 16_000))
-        s0 = np.zeros(300, dtype=np.int64)
+        # One 300 x 16,000 chunk's memory beyond its arrays (the uniforms u,
+        # the 0-based and 1-based int16 states, obs) is the per-move bucket
+        # search and lookup and the row-blocked observation transform, not
+        # another array of the chunk's size.
+        model = ModelSpec(
+            TransitionMatrix(np.array([[0.98, 0.015, 0.005], [0.01, 0.98, 0.01],
+                                       [0.005, 0.015, 0.98]])),
+            EmissionSpec((Gaussian(-1.0, 1.0), Uniform(0.0, 2.0), Gaussian(3.0, 0.5))))
+        n, n_paths = 16_000, 300
         tracemalloc.start()
         try:
-            states = process._walk(*process._walk_table(cum), s0, u)
+            _start, states, obs = next(iter_path_chunks(model, n, n_paths, SeedSpec(3)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert states.shape == (300, 16_000)
-        assert peak - states.nbytes < 4 * process._WALK_SLAB_ELEMENTS * 8
+        assert states.shape == obs.shape == (n_paths, n)
+        arrays = n_paths * (2 * n + 1) * 8 + 2 * states.nbytes + obs.nbytes
+        assert peak - arrays < 4 * process._WALK_SLAB_ELEMENTS * 8
 
     def test_dense_chain_table_built_once_within_its_bytes(self):
         # A dense 200-state chain has about 40,000 distinct cumulative
@@ -621,12 +639,14 @@ class TestIterPathChunks:
                 def random(self, out):
                     out[:] = u0[:, None]
 
+            # So the path is the walk from j - 1 under the same two move uniforms.
+            cum_p = oracles._cumulative_rows(base.chain.p)
             for j in range(1, base.n_states + 1):
                 model = dataclasses.replace(base, initial=j)
-                with mock.patch.object(SeedSpec, "block_rng", return_value=Draws()), \
-                        mock.patch.object(process, "_walk", wraps=process._walk) as walk:
-                    list(iter_path_chunks(model, 2, u0.size, SeedSpec(1)))
-                np.testing.assert_array_equal(walk.call_args.args[2], np.full(u0.size, j - 1))
+                with mock.patch.object(SeedSpec, "block_rng", return_value=Draws()):
+                    states, _obs = self._collect(model, 2, u0.size, SeedSpec(1))
+                expect = oracles.walk_loop(cum_p, np.full(u0.size, j - 1), np.repeat(u0[:, None], 2, 1))
+                np.testing.assert_array_equal(states, expect + 1)
 
     def test_table_over_cap_refused_before_drawing(self, bench_model):
         # The two-state chain's table is 4 buckets (thresholds 0.2, 0.9, 1)
