@@ -22,12 +22,10 @@ from .chain import (
 )
 from .charfn import (
     CfGapReport,
-    EcfEstimate,
     StepApproximation,
     build_step_approximation,
     cf_factorization_gap,
     cf_factorization_gap_from_samples,
-    ecf,
     truncation_radius,
 )
 from .clt import (
@@ -90,7 +88,6 @@ __all__ = [
     "CfGapReport",
     "ConfigInvalid",
     "ConvergenceReport",
-    "EcfEstimate",
     "EmissionSpec",
     "EmptyConditioningEvent",
     "ErgodicityReport",
@@ -126,7 +123,6 @@ __all__ = [
     "conditional_gap_exact",
     "decompose",
     "default_event_family",
-    "ecf",
     "epsilon_certificate",
     "is_ergodic",
     "iter_path_chunks",

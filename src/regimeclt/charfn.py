@@ -1,10 +1,11 @@
-"""Empirical characteristic functions and the sum-vs-product gap.
+"""The sum-vs-product characteristic-function gap, sampled and exact.
 
 For nearly independent variables the characteristic function of the sum
 stays close to the product of the marginal characteristic functions; with an
 independence certificate epsilon from the rectangle-family machinery the gap
-is tested against 2 epsilon. Both sides of the gap are estimated on the same
-replicate set, which removes most of the shared sampling noise.
+is tested against 2 epsilon. The sampled gap estimates both sides on the same
+replicate set, which removes most of the shared sampling noise; the exact gap
+is one `exact.transfer` product over the t grid.
 
 The piecewise-constant approximation built here replaces x -> exp(i t x) by
 a step function on [-M, M] whose cells are narrower than eta / (|t| + 1), so
@@ -20,55 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from . import exact
 from .errors import ConfigInvalid
-from .independence import _transfer
 from .process import ModelSpec, iter_path_chunks, mixture_mean, mixture_variance
 from .seeds import SeedSpec
 
 # Batches behind a sampled cf gap's standard error; each takes at least two replicates.
 CF_GAP_BATCHES = 20
-
-
-@dataclass(frozen=True)
-class EcfEstimate:
-    """Empirical characteristic function on a t grid.
-
-    values[j] is the sample mean of exp(i t_j X); std_errors[j] combines the
-    per-component (real and imaginary) sample variances.
-    """
-
-    t_grid: NDArray[np.float64]
-    values: NDArray[np.complex128]
-    std_errors: NDArray[np.float64]
-    n_samples: int
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.t_grid, dtype=np.float64)
-        v = np.asarray(self.values, dtype=np.complex128)
-        se = np.asarray(self.std_errors, dtype=np.float64)
-        if not (t.shape == v.shape == se.shape) or t.ndim != 1:
-            raise ValueError("t_grid, values and std_errors must be 1-d and congruent")
-        for arr in (t, v, se):
-            arr.setflags(write=False)
-        object.__setattr__(self, "t_grid", t)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "std_errors", se)
-
-
-def ecf(samples, t_grid) -> EcfEstimate:
-    """Empirical characteristic function of a 1-d sample."""
-    x = np.asarray(samples, dtype=np.float64)
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("samples must be a 1-d array with at least two entries")
-    values = np.empty(t_grid.shape, dtype=np.complex128)
-    std_errors = np.empty(t_grid.shape)
-    for j, t in enumerate(t_grid):
-        c = np.cos(t * x)
-        s = np.sin(t * x)
-        values[j] = complex(c.mean(), s.mean())
-        std_errors[j] = math.sqrt((c.var() + s.var()) / x.size)
-    return EcfEstimate(t_grid=t_grid, values=values, std_errors=std_errors, n_samples=x.size)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +139,7 @@ class CfGapReport:
 
 
 def cf_factorization_gap_from_samples(samples, t_grid, n_batches: int = CF_GAP_BATCHES) -> CfGapReport:
-    """Gap |ecf(sum) - prod ecf(X_r)| per t, from joint replicates.
+    """Gap |mean e^{it sum X_r} - prod mean e^{it X_r}| per t, from joint replicates.
 
     samples has one row per replicate and one column per variable. Both
     sides are computed from the same rows; the standard error is the spread
@@ -231,13 +190,14 @@ def cf_factorization_gap(
     Variables are the observations of one stationary path at time points
     separated by the lags; replicates are independent paths drawn at those
     times only from the block streams of iter_path_chunks, so replicate r is
-    the same path for every replicates > r.
+    the same path for every replicates > r. Fewer than two replicates per
+    batch raise ValueError before anything is drawn.
     """
     if seed is None:
         raise ValueError("a seed is required")
-    lags = tuple(int(t) for t in lags)
-    if not lags or any(t < 1 for t in lags):
-        raise ValueError("lags must be positive integers")
+    lags = exact.validate_lags(lags)
+    if replicates < 2 * n_batches:
+        raise ValueError(f"{replicates} replicates give fewer than two per batch of {n_batches}")
     t_idx = np.concatenate([[0], np.cumsum(lags)])
     n = int(t_idx[-1]) + 1
     stationary_model = model.stationary_start()
@@ -251,11 +211,9 @@ def cf_gap_exact(model: ModelSpec, lags, t_grid) -> NDArray[np.float64]:
     """Exact |E e^{it(X_1 + ... + X_k)} - phi(t)^k| per t at cf_factorization_gap's times.
 
     With D(t) = diag(phi_j(t)), the sum's cf is pi D P^lag_1 D ... D 1, one
-    `_transfer` product over the t grid, and phi(t) = pi D(t) 1.
+    `exact.transfer` product over the t grid, and phi(t) = pi D(t) 1.
     """
-    lags = tuple(int(t) for t in lags)
-    if not lags or any(t < 1 for t in lags):
-        raise ValueError("lags must be positive integers")
+    lags = exact.validate_lags(lags)
     d = model.emissions.cf_matrix(np.atleast_1d(np.asarray(t_grid, dtype=np.float64)))
-    joint = _transfer(model.stationary(), [d] * (len(lags) + 1), [(model.chain.p, t) for t in lags])
+    joint = exact.transfer(model.stationary(), [d] * (len(lags) + 1), [(model.chain.p, t) for t in lags])
     return np.abs(joint - (d @ model.stationary()) ** (len(lags) + 1))

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from . import exact
 from .errors import ConfigInvalid, GapExceedsBlock
-from .independence import MAX_EXACT_CERTIFICATE_BYTES, _transfer
 from .process import ModelSpec, mixture_abs_third_moment, mixture_mean, mixture_variance
 
 BLOCK_EXPONENT_MAX = 0.25
@@ -284,10 +284,10 @@ def _exact_distances(model: ModelSpec, n: int, t_grid) -> _ExactDistances:
     """Exact KS and cf distances to N(0, 1) of Y = (S_n - n mu) / (sigma sqrt(n)).
 
     sigma is the exact long-run sd. With D(s) = diag(phi_j(s) e^{-i s mu}),
-    E e^{itY} = pi D (P D)^(n-1) 1 at s = t / (sigma sqrt(n)), one `_transfer`
-    product over the stack of t. By Gil-Pelaez, F(x) - Phi(x) = -(1/pi)
-    int_0^inf Im(e^{-itx} g(t)) / t dt for g(t) = E e^{itY} - e^{-t^2/2}; its sup
-    is refined twice around the four largest local maxima on the x grid. Also
+    E e^{itY} = pi D (P D)^(n-1) 1 at s = t / (sigma sqrt(n)), one
+    `exact.transfer` product over the stack of t. By Gil-Pelaez, F(x) - Phi(x)
+    = -(1/pi) int_0^inf Im(e^{-itx} g(t)) / t dt for g(t) = E e^{itY} - e^{-t^2/2};
+    its sup is refined twice around the four largest local maxima on the x grid. Also
     returned: cdf_gap(x), F - Phi by the rule on (0, t_max], and the tail bound
     past t_max. Raises ConfigInvalid, allocating nothing, if no t_max within
     _MAX_NODES nodes meets _TAIL_TOL or the stack of P D passes the byte cap.
@@ -303,13 +303,11 @@ def _exact_distances(model: ModelSpec, n: int, t_grid) -> _ExactDistances:
     left = np.arange(0.0, t_max, _PANEL_WIDTH)[:, None]
     nodes = (left + 0.5 * _PANEL_WIDTH * (x + 1.0)).ravel()
     t = np.concatenate([nodes, np.asarray(t_grid, dtype=np.float64)])
-    if (needed := len(t) * model.n_states**2 * 16) > MAX_EXACT_CERTIFICATE_BYTES:
-        raise ConfigInvalid(f"exact clt at n={n} needs a complex stack of {needed} bytes, "
-                            f"above the {MAX_EXACT_CERTIFICATE_BYTES}-byte cap")
+    exact.require_bytes(len(t) * model.n_states**2 * 16, f"exact clt at n={n}: a complex stack")
     s = t / scale
     d = model.emissions.cf_matrix(s) * np.exp(-1j * mixture_mean(model) * s)[:, None]
-    g = _transfer(model.stationary(), [d, np.ones(model.n_states)],
-                  [(model.chain.p * d[:, None, :], n - 1)]) - np.exp(-0.5 * t * t)
+    g = exact.transfer(model.stationary(), [d, np.ones(model.n_states)],
+                       [(model.chain.p * d[:, None, :], n - 1)]) - np.exp(-0.5 * t * t)
     cf_distance = float(np.max(np.abs(g[len(nodes):])))
     a = np.tile(0.5 * _PANEL_WIDTH * w, len(left)) * g[: len(nodes)] / (math.pi * nodes)
     # Node k moves F - Phi by at most |a_k|: drop last nodes moving it 1e-15 in all.

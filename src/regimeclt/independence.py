@@ -27,16 +27,13 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from . import exact
 from .chain import MixingProfile, mixing_rate
-from .errors import ConfigInvalid, EmptyConditioningEvent, TooManyEventsForExact
+from .errors import EmptyConditioningEvent, TooManyEventsForExact
 from .process import CHUNK_ELEMENTS, ModelSpec, iter_path_chunks, mixture_quantile
 from .seeds import SeedSpec
 
 MAX_EXACT_EVENTS = 6
-# Largest per-leading-event array, B^(k-2) max(N, B) float64 values, that the
-# exact product family certificate may build, with B counted after dominated
-# events are pruned; larger requests raise ConfigInvalid up front.
-MAX_EXACT_CERTIFICATE_BYTES = 2**30
 # Tuples of an explicit family scored per stacked product.
 EXPLICIT_FAMILY_CHUNK = 1 << 16
 
@@ -116,45 +113,6 @@ def _profile_for(model: ModelSpec, horizon: int, profile: MixingProfile | None) 
     return profile
 
 
-def _validate_lags(lags: Sequence[int], k: int) -> tuple[int, ...]:
-    lags = tuple(int(t) for t in lags)
-    if len(lags) != k - 1:
-        raise ValueError(f"{k} events require {k - 1} inter-event lags, got {len(lags)}")
-    if any(t < 1 for t in lags):
-        raise ValueError("lags must be positive integers")
-    return lags
-
-
-def _transfer(start: np.ndarray, weights: Sequence[np.ndarray], steps: Sequence[tuple]) -> np.ndarray:
-    """start W_0 M_1 W_1 ... M_last W_last 1 over stacks of diagonal weights.
-
-    weights[r] is a (..., N) stack of diagonals, maybe complex; steps[r] =
-    (M, power) puts M^power, M (N, N) or a (..., N, N) stack, after it. Stack
-    axes broadcast: shared axes pair rows, axes in different places give every
-    combination with shared prefixes computed once. Returns the (...) products.
-    """
-    v = start * weights[0]
-    for w, (m, power) in zip(weights[1:-1], steps):
-        m = np.linalg.matrix_power(m, power)
-        v = (v @ m if m.ndim == 2 else (v[..., None, :] @ m)[..., 0, :]) * w
-    m = np.linalg.matrix_power(*steps[-1])
-    v = v @ m if m.ndim == 2 else (v[..., None, :] @ m)[..., 0, :]
-    return np.einsum("...n,...n->...", v, weights[-1])
-
-
-def _joint(model: ModelSpec, weights: Sequence[np.ndarray], lags: Sequence[int]) -> np.ndarray:
-    """Stationary joint probability of every choice of one event per position.
-
-    weights[r] is a (B_r, N) stack of event weights, position r + 1 lags[r]
-    steps after position r; the (B_0, ..., B_last) result holds
-    pi W_0 P^lag_0 W_1 ... W_last 1 for every choice of one row per stack.
-    """
-    k = len(weights)
-    outer = [w.reshape((1,) * r + (len(w),) + (1,) * (k - 1 - r) + (model.n_states,))
-             for r, w in enumerate(weights)]
-    return _transfer(model.stationary(), outer, [(model.chain.p, t) for t in lags])
-
-
 def conditional_gap_matrix(
     model: ModelSpec,
     target_weights: NDArray[np.float64],
@@ -179,7 +137,7 @@ def conditional_gap_matrix(
         raise EmptyConditioningEvent(f"conditioning event {int(p_cond.argmin())} has probability 0")
     # Row 0 conditions on the full space: the unconditional target law.
     cond = np.vstack([np.ones(model.n_states), cond_weights])
-    joint = _joint(model, [cond, target_weights], [tau])
+    joint = exact.joint(model.stationary(), model.chain.p, [cond, target_weights], [tau])
     return np.abs(joint[1:] / p_cond[:, None] - joint[0])
 
 
@@ -237,7 +195,9 @@ def joint_product_gap(
     k = len(events)
     if k < 2:
         raise ValueError("at least two events are required")
-    lags = _validate_lags(lags, k)
+    lags = exact.validate_lags(lags)
+    if len(lags) != k - 1:
+        raise ValueError(f"{k} events require {k - 1} inter-event lags, got {len(lags)}")
     total_lag = sum(lags)
     prof = _profile_for(model, total_lag, profile)
     bound = k * prof.c * prof.alpha**total_lag
@@ -352,10 +312,8 @@ def epsilon_certificate(
     each distinct event weighed once. A pool or family with nothing to
     score gives 0.
     """
-    if len(lags) == 0:
-        raise ValueError("at least one lag is required")
+    lags = exact.validate_lags(lags)
     k = len(lags) + 1
-    lags = _validate_lags(lags, k)
     if family is not None and base_events is not None:
         raise ValueError("give either an explicit family or base_events, not both")
     if method == "exact" and k > MAX_EXACT_EVENTS:
@@ -385,7 +343,7 @@ def epsilon_certificate(
 def _max_tuple_gap(model: ModelSpec, family: Iterable[Sequence[RectEvent]], lags: tuple[int, ...]) -> float:
     """Exact max |joint - product| gap over the event tuples of a family, 0 if empty.
 
-    Chunks of tuples go through `_transfer` as stacks, row r of every
+    Chunks of tuples go through `exact.transfer` as stacks, row r of every
     position from tuple r; each distinct event is weighed once.
     """
     k = len(lags) + 1
@@ -399,7 +357,7 @@ def _max_tuple_gap(model: ModelSpec, family: Iterable[Sequence[RectEvent]], lags
                        dtype=np.int64)
         rows.extend(ev.weights(model) for ev in itertools.islice(slot, len(rows), None))
         w = np.stack(rows)
-        joint = _transfer(model.stationary(), list(w[idx.T]), [(model.chain.p, t) for t in lags])
+        joint = exact.transfer(model.stationary(), list(w[idx.T]), [(model.chain.p, t) for t in lags])
         best = max(best, float(np.max(np.abs(joint - (w @ model.stationary())[idx].prod(axis=1)))))
     return best
 
@@ -410,24 +368,20 @@ def _epsilon_exact_product_family(
     """Exact max gap over all tuples of B events, shared-prefix DP.
 
     w (B, N) holds the weights of a pool's undominated events. Per leading
-    event, `_joint` shares every tuple prefix's propagated state vector, so
-    the tuples cost O(B^(k-2)) vectorised steps per leading event instead
+    event, `exact.joint` shares every tuple prefix's propagated state vector,
+    so the tuples cost O(B^(k-2)) vectorised steps per leading event instead
     of B^k independent evaluations, and at most B^(k-2) max(N, B) values
-    are held. If those would pass MAX_EXACT_CERTIFICATE_BYTES, ConfigInvalid
-    is raised with nothing beyond the weights allocated.
+    are held. If those would pass exact.MAX_EXACT_BYTES, ConfigInvalid is
+    raised with nothing beyond the weights allocated.
     """
     n_base, n_states = w.shape
-    needed = n_base ** (len(lags) - 1) * max(n_states, n_base) * 8
-    if needed > MAX_EXACT_CERTIFICATE_BYTES:
-        raise ConfigInvalid(
-            f"exact certificate over {n_base} undominated events and {len(lags)} lags "
-            f"needs {needed} bytes, above the {MAX_EXACT_CERTIFICATE_BYTES}-byte cap; "
-            "use fewer quantile levels or fewer lags"
-        )
-    marg = w @ model.stationary()  # (B,)
+    exact.require_bytes(n_base ** (len(lags) - 1) * max(n_states, n_base) * 8,
+                        f"exact certificate over {n_base} undominated events and {len(lags)} lags")
+    pi = model.stationary()
+    marg = w @ pi  # (B,)
     best = 0.0
     for b0 in range(n_base):
-        gap = _joint(model, [w[b0 : b0 + 1]] + [w] * len(lags), lags)
+        gap = exact.joint(pi, model.chain.p, [w[b0 : b0 + 1]] + [w] * len(lags), lags)
         prod = marg[b0 : b0 + 1]
         for _ in lags:
             prod = np.multiply.outer(prod, marg)

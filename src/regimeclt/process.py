@@ -42,7 +42,7 @@ CHUNK_ELEMENTS = 10_000_000
 # iter_path_chunks transforms the observation uniforms in row blocks of about
 # this many elements, so the transform's scratch stays near 2 MiB whatever the
 # (paths, steps) shape.
-_WALK_SLAB_ELEMENTS = 1 << 18
+_OBS_BLOCK_ELEMENTS = 1 << 18
 # Largest next-regime table _walk_table builds: about 2^25 int16 entries,
 # enough for any chain of up to 322 states.
 _WALK_TABLE_BYTES = 1 << 26
@@ -665,10 +665,10 @@ def iter_path_chunks(
         for j, move in enumerate(moves):
             thresholds, table = tables[move]
             s = states[:, j] = table[np.searchsorted(thresholds, u[:, 1 + j], side="right"), s]
-        # Row blocks of about _WALK_SLAB_ELEMENTS keep the masks, gathers and
+        # Row blocks of about _OBS_BLOCK_ELEMENTS keep the masks, gathers and
         # temporaries of the transform in cache.
         obs = np.empty((size, k))
-        block = max(1, _WALK_SLAB_ELEMENTS // k)
+        block = max(1, _OBS_BLOCK_ELEMENTS // k)
         for r0 in range(0, size, block):
             rows = slice(r0, r0 + block)
             obs[rows] = model.emissions.ppf_by_state(states[rows], u[rows, k + 1 :])

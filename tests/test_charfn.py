@@ -1,4 +1,5 @@
-"""Tests for empirical characteristic functions and the factorization gap."""
+"""Tests for the step approximation of exp(itx), the truncation radius and the
+sampled and exact characteristic-function factorization gaps."""
 
 import math
 import tracemalloc
@@ -14,44 +15,12 @@ from regimeclt.charfn import (
     cf_factorization_gap,
     cf_factorization_gap_from_samples,
     cf_gap_exact,
-    ecf,
     truncation_radius,
 )
 from regimeclt.errors import ConfigInvalid
 from regimeclt.independence import epsilon_certificate
 from regimeclt.process import mixture_cdf, mixture_mean, mixture_variance
 from regimeclt.seeds import SeedSpec
-
-
-class TestEcf:
-    def test_standard_normal_reference(self):
-        x = np.random.default_rng(5).standard_normal(100_000)
-        est = ecf(x, [0.5, 1.0, 2.0])
-        for t, v, se in zip(est.t_grid, est.values, est.std_errors):
-            assert abs(v - math.exp(-0.5 * t * t)) <= 4 * se
-
-    def test_value_at_zero(self):
-        x = np.random.default_rng(6).standard_normal(500)
-        est = ecf(x, [0.0])
-        assert est.values[0] == 1.0 + 0.0j
-        assert est.std_errors[0] == 0.0
-
-    def test_conjugate_symmetry(self):
-        x = np.random.default_rng(7).standard_normal(2_000)
-        plus = ecf(x, [0.8]).values[0]
-        minus = ecf(x, [-0.8]).values[0]
-        assert minus == pytest.approx(plus.conjugate(), abs=1e-15)
-
-    def test_modulus_bounded_by_one(self):
-        x = np.random.default_rng(8).exponential(size=5_000)
-        est = ecf(x, np.linspace(-4, 4, 17))
-        assert np.all(np.abs(est.values) <= 1.0 + 1e-12)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            ecf(np.array([1.0]), [1.0])
-        with pytest.raises(ValueError):
-            ecf(np.ones((3, 3)), [1.0])
 
 
 class TestStepApproximation:
@@ -241,6 +210,21 @@ class TestCfGapFromModel:
             cf_factorization_gap(bench_model, (), [1.0], seed=SeedSpec(1))
         with pytest.raises(ValueError):
             cf_factorization_gap(bench_model, (0,), [1.0], seed=SeedSpec(1))
+
+    def test_too_few_replicates_refused_before_drawing(self, bench_model, monkeypatch):
+        # Fewer than two replicates per batch leave a one-row batch, whose
+        # gap is 0; the call refuses them before block 0 is drawn.
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before refusing too few replicates")
+
+        monkeypatch.setattr(SeedSpec, "block_rng", refuse)
+        for replicates, n_batches in [(39, 20), (30, 20), (5, 3)]:
+            with pytest.raises(ValueError, match="per batch"):
+                cf_factorization_gap(bench_model, (2,), [1.0], replicates=replicates,
+                                     seed=SeedSpec(1), n_batches=n_batches)
+        # Two per batch pass the check and go on to draw.
+        with pytest.raises(AssertionError, match="drew"):
+            cf_factorization_gap(bench_model, (2,), [1.0], replicates=40, seed=SeedSpec(1))
 
 
 class TestCfGapExact:

@@ -12,13 +12,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from regimeclt import independence
+from regimeclt import exact, independence
 from regimeclt.chain import TransitionMatrix, mixing_rate
 from regimeclt.errors import ConfigInvalid, EmptyConditioningEvent, TooManyEventsForExact
 from regimeclt.independence import (
-    MAX_EXACT_CERTIFICATE_BYTES,
     RectEvent,
-    _joint,
     chained_gap_bound,
     conditional_gap_exact,
     conditional_gap_matrix,
@@ -176,26 +174,39 @@ class TestConditionalGapMatrix:
             conditional_gap_matrix(model, w_t, w_c, 2)
 
 
+_STACKS = (
+    ((3, 1), (3,)),
+    ((1, 2), (1,)),
+    ((2, 3, 1), (2, 1)),
+    ((1, 3, 2, 2), (3, 1, 2)),
+    ((3, 1, 2, 3), (1, 2, 3)),
+)
+
+
 class TestJointCore:
-    @pytest.mark.parametrize("sizes,lags", [
-        ((3, 1), (3,)),
-        ((1, 2), (1,)),
-        ((2, 3, 1), (2, 1)),
-        ((1, 3, 2, 2), (3, 1, 2)),
-        ((3, 1, 2, 3), (1, 2, 3)),
+    # The core takes any start vector: a Dirichlet draw away from pi checks
+    # that, and its cases add "-dirichlet" to the stationary cases' ids.
+    @pytest.mark.parametrize("sizes,lags,start", [
+        pytest.param(sizes, lags, start, id=f"sizes{i}-lags{i}" + "-dirichlet" * (start == "dirichlet"))
+        for start in ("stationary", "dirichlet") for i, (sizes, lags) in enumerate(_STACKS)
     ])
     @pytest.mark.parametrize("chain_index", range(3))
-    def test_matches_enumeration_with_unequal_stacks(self, sizes, lags, chain_index):
+    def test_matches_enumeration_with_unequal_stacks(self, sizes, lags, start, chain_index):
         rows = random_chain_pool(3, seed=1117, n_min=2, n_max=4)[chain_index]
         model = _gaussian_model(rows)
         rng = np.random.default_rng(31 * chain_index + len(sizes))
         weights = [rng.uniform(size=(b, model.n_states)) for b in sizes]
-        joint = _joint(model, weights, lags)
+        if start == "stationary":
+            v = model.stationary()
+        else:
+            v = rng.dirichlet(np.ones(model.n_states))
+            assert np.max(np.abs(v - model.stationary())) > 1e-3
+        joint = exact.joint(v, model.chain.p, weights, lags)
         assert joint.shape == sizes
         times = [0, *np.cumsum(lags).tolist()]
         for idx in itertools.product(*(range(b) for b in sizes)):
             expected = oracles.enumerate_joint_probability(
-                model.stationary(), model.chain.p, times, [w[i] for w, i in zip(weights, idx)]
+                v, model.chain.p, times, [w[i] for w, i in zip(weights, idx)]
             )
             assert abs(joint[idx] - expected) <= 1e-14
 
@@ -545,7 +556,7 @@ class TestEpsilonCertificate:
         pi = model.stationary()
 
         def tuple_gap(events):
-            joint = _joint(model, [rows[ev][None, :] for ev in events], (1, 3)).sum()
+            joint = exact.joint(pi, model.chain.p, [rows[ev][None, :] for ev in events], (1, 3)).sum()
             return abs(joint - np.prod([pi @ rows[ev] for ev in events]))
 
         per_tuple = max(tuple_gap(events) for events in family)
@@ -564,7 +575,7 @@ class TestEpsilonCertificate:
         ))
         base = observable_event_family(model, [i / 61 for i in range(1, 61)])
         assert len(base) == 61
-        assert 61**4 * 61 * 8 > 6.7e9 > MAX_EXACT_CERTIFICATE_BYTES
+        assert 61**4 * 61 * 8 > 6.7e9 > exact.MAX_EXACT_BYTES
         tracemalloc.start()
         try:
             with pytest.raises(ConfigInvalid, match="bytes"):
@@ -574,7 +585,7 @@ class TestEpsilonCertificate:
             tracemalloc.stop()
         assert peak < 1_000_000
         # Five events over 31 base events (9 levels) need 7.4 MB and still run.
-        assert 31**3 * 31 * 8 < MAX_EXACT_CERTIFICATE_BYTES
+        assert 31**3 * 31 * 8 < exact.MAX_EXACT_BYTES
 
     def test_dominated_default_family_runs_past_preflight(self):
         # 3 states and 19 quantile levels give B = 3 * 20 + 1 = 61 default

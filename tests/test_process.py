@@ -367,12 +367,12 @@ class TestSamplePath:
         with pytest.raises(InvalidModel):
             sample_path(bench_model, 0, SeedSpec(1))
 
-    @pytest.mark.parametrize("slab", [7, process._WALK_SLAB_ELEMENTS])
+    @pytest.mark.parametrize("block", [7, process._OBS_BLOCK_ELEMENTS])
     @pytest.mark.parametrize("n", [1, 17, 5000])
-    def test_matches_bisect_loop(self, bench_model, n, slab):
+    def test_matches_bisect_loop(self, bench_model, n, block):
         for model in [bench_model, *ZERO_ROW_MODELS]:
             for seed in (SeedSpec(11, 3), SeedSpec(2024, 0)):
-                with mock.patch.object(process, "_WALK_SLAB_ELEMENTS", slab):
+                with mock.patch.object(process, "_OBS_BLOCK_ELEMENTS", block):
                     path = sample_path(model, n, seed)
                 # Replicate 0 of the block streams, walked one step at a time.
                 states, obs = oracles.path_chunks_loop(model, n, 1, seed)
@@ -445,23 +445,23 @@ class TestIterPathChunks:
 
     @settings(max_examples=60, deadline=None)
     @example(model=ZERO_ROW_MODELS[0], n=9, n_paths=REPLICATE_BLOCK + 5, max_elements=1000,
-             slab=7, base=3)
-    @example(model=ZERO_ROW_MODELS[1], n=1, n_paths=40, max_elements=1, slab=1, base=4)
-    @example(model=ZERO_ROW_MODELS[2], n=33, n_paths=12, max_elements=200, slab=64, base=5)
+             block=7, base=3)
+    @example(model=ZERO_ROW_MODELS[1], n=1, n_paths=40, max_elements=1, block=1, base=4)
+    @example(model=ZERO_ROW_MODELS[2], n=33, n_paths=12, max_elements=200, block=64, base=5)
     @given(
         model=walk_models(),
         n=st.integers(1, 40),
         n_paths=st.integers(1, 60),
         max_elements=st.integers(1, 500),
-        slab=st.sampled_from([1, 2, 7, 64, process._WALK_SLAB_ELEMENTS]),
+        block=st.sampled_from([1, 2, 7, 64, process._OBS_BLOCK_ELEMENTS]),
         base=st.integers(0, 2**32 - 1),
     )
-    def test_matches_walk_loop(self, model, n, n_paths, max_elements, slab, base):
-        # A small slab splits the row-blocked observation transform over
-        # many blocks (one row each at slab 1), and a small max_elements
+    def test_matches_walk_loop(self, model, n, n_paths, max_elements, block, base):
+        # A small block size splits the row-blocked observation transform
+        # over many blocks (one row each at size 1), and a small max_elements
         # splits the replicates over many chunks.
         seed = SeedSpec(base, 1)
-        with mock.patch.object(process, "_WALK_SLAB_ELEMENTS", slab):
+        with mock.patch.object(process, "_OBS_BLOCK_ELEMENTS", block):
             states, obs = self._collect(model, n, n_paths, seed, max_elements=max_elements)
         expect_states, expect_obs = oracles.path_chunks_loop(model, n, n_paths, seed)
         np.testing.assert_array_equal(states, expect_states)
@@ -469,27 +469,27 @@ class TestIterPathChunks:
 
     @settings(max_examples=60, deadline=None)
     @example(model=ZERO_ROW_MODELS[0], n=9, n_paths=REPLICATE_BLOCK + 5, max_elements=1000,
-             slab=7, base=3, picks=[0, 4, 8])
-    @example(model=ZERO_ROW_MODELS[1], n=1, n_paths=40, max_elements=1, slab=1, base=4, picks=[0])
-    @example(model=ZERO_ROW_MODELS[2], n=33, n_paths=12, max_elements=200, slab=64, base=5,
+             block=7, base=3, picks=[0, 4, 8])
+    @example(model=ZERO_ROW_MODELS[1], n=1, n_paths=40, max_elements=1, block=1, base=4, picks=[0])
+    @example(model=ZERO_ROW_MODELS[2], n=33, n_paths=12, max_elements=200, block=64, base=5,
              picks=[32, 0, 31, 1])
     @given(
         model=walk_models(),
         n=st.integers(1, 40),
         n_paths=st.integers(1, 60),
         max_elements=st.integers(1, 500),
-        slab=st.sampled_from([1, 2, 7, 64, process._WALK_SLAB_ELEMENTS]),
+        block=st.sampled_from([1, 2, 7, 64, process._OBS_BLOCK_ELEMENTS]),
         base=st.integers(0, 2**32 - 1),
         picks=st.lists(st.integers(0, 39), min_size=1, max_size=5),
     )
-    def test_event_times_match_event_loop(self, model, n, n_paths, max_elements, slab, base,
+    def test_event_times_match_event_loop(self, model, n, n_paths, max_elements, block, base,
                                           picks):
         # Event times with moves of one and of several steps, repeated and
         # not: equal moves share one next-regime table, and each move is
         # walked here on its own P^move.
         seed = SeedSpec(base, 1)
         times = sorted({t % n for t in picks})
-        with mock.patch.object(process, "_WALK_SLAB_ELEMENTS", slab):
+        with mock.patch.object(process, "_OBS_BLOCK_ELEMENTS", block):
             states, obs = self._collect(model, n, n_paths, seed, max_elements=max_elements,
                                         times=times)
         expect_states, expect_obs = oracles.event_chunks_loop(model, times, n_paths, seed)
@@ -566,10 +566,10 @@ class TestIterPathChunks:
         np.testing.assert_array_equal(states, expect + 1)
         np.testing.assert_array_equal(obs, oracles._observations(model, expect, u[:, k + 1 :]))
 
-    @pytest.mark.parametrize("n,n_paths", [(4000, 150), (3, process._WALK_SLAB_ELEMENTS + 10)],
+    @pytest.mark.parametrize("n,n_paths", [(4000, 150), (3, process._OBS_BLOCK_ELEMENTS + 10)],
                              ids=["long-paths", "many-paths"])
-    def test_matches_walk_loop_across_slabs(self, n, n_paths):
-        # Both shapes hold more than two slabs of transition uniforms.
+    def test_matches_walk_loop_across_obs_blocks(self, n, n_paths):
+        # Both shapes hold more than two row blocks of observation uniforms.
         model = ZERO_ROW_MODELS[0]
         seed = SeedSpec(77, 4)
         states, obs = self._collect(model, n, n_paths, seed)
@@ -577,7 +577,7 @@ class TestIterPathChunks:
         np.testing.assert_array_equal(states, expect_states)
         np.testing.assert_array_equal(obs, expect_obs)
 
-    def test_walk_scratch_stays_within_a_few_slabs(self):
+    def test_walk_scratch_stays_within_a_few_obs_blocks(self):
         # One 300 x 16,000 chunk's memory beyond its arrays (the uniforms u,
         # the 0-based and 1-based int16 states, obs) is the per-move bucket
         # search and lookup and the row-blocked observation transform, not
@@ -595,13 +595,13 @@ class TestIterPathChunks:
             tracemalloc.stop()
         assert states.shape == obs.shape == (n_paths, n)
         arrays = n_paths * (2 * n + 1) * 8 + 2 * states.nbytes + obs.nbytes
-        assert peak - arrays < 4 * process._WALK_SLAB_ELEMENTS * 8
+        assert peak - arrays < 4 * process._OBS_BLOCK_ELEMENTS * 8
 
     def test_dense_chain_table_built_once_within_its_bytes(self):
         # A dense 200-state chain has about 40,000 distinct cumulative
         # values, so its (buckets, N) next-regime table is the walk's largest
         # buffer. It is built once per call, not per chunk, as int16, and the
-        # traced peak stays within its size plus a few slabs.
+        # traced peak stays within its size plus a few observation blocks.
         p = np.random.default_rng(12).random((200, 200)) + 0.01
         chain = TransitionMatrix(p / p.sum(axis=1, keepdims=True))
         emissions = EmissionSpec(tuple(Gaussian(float(j % 7), 1.0) for j in range(200)))
@@ -620,7 +620,7 @@ class TestIterPathChunks:
                 tracemalloc.stop()
         assert build.call_count == 1
         assert table_bytes > 15_000_000
-        assert peak < table_bytes + 4 * process._WALK_SLAB_ELEMENTS * 8
+        assert peak < table_bytes + 4 * process._OBS_BLOCK_ELEMENTS * 8
         expect_states, expect_obs = oracles.path_chunks_loop(model, n, n_paths, seed)
         np.testing.assert_array_equal(states, expect_states)
         np.testing.assert_array_equal(obs, expect_obs)
