@@ -143,16 +143,17 @@ def cf_factorization_gap_from_samples(samples, t_grid, n_batches: int = CF_GAP_B
 
     samples has one row per replicate and one column per variable. Both
     sides are computed from the same rows; the standard error is the spread
-    of per-batch gap estimates across a fixed split into n_batches batches of
-    contiguous rows, each of at least two rows (a one-row batch has gap 0).
+    of per-batch gap estimates across a fixed split into n_batches >= 2
+    batches of contiguous rows, each of at least two rows (a one-row batch
+    has gap 0).
     Per t, exp(itX) is taken once, exp(it sum X) is the product of its
     columns, and one add.reduceat per side gives the batch sums, from which
     the full-sample means follow.
     """
     # C order at entry: the reductions' last bits depend on the layout.
     x = np.ascontiguousarray(samples, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2 * n_batches or x.shape[1] < 2:
-        raise ValueError("samples must be (replicates, n_vars) with at least two rows per batch")
+    if n_batches < 2 or x.ndim != 2 or x.shape[0] < 2 * n_batches or x.shape[1] < 2:
+        raise ValueError("samples must be (replicates, n_vars), two or more batches of two rows per batch")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))
     n_rep, n_vars = x.shape
     # The array_split of the rows: the first n_rep % n_batches batches take one more.
@@ -190,14 +191,14 @@ def cf_factorization_gap(
     Variables are the observations of one stationary path at time points
     separated by the lags; replicates are independent paths drawn at those
     times only from the block streams of iter_path_chunks, so replicate r is
-    the same path for every replicates > r. Fewer than two replicates per
-    batch raise ValueError before anything is drawn.
+    the same path for every replicates > r. Fewer than two batches, or fewer
+    than two replicates per batch, raise ValueError before anything is drawn.
     """
     if seed is None:
         raise ValueError("a seed is required")
     lags = exact.validate_lags(lags)
-    if replicates < 2 * n_batches:
-        raise ValueError(f"{replicates} replicates give fewer than two per batch of {n_batches}")
+    if n_batches < 2 or replicates < 2 * n_batches:
+        raise ValueError(f"need two or more batches, two per batch; got {replicates} in {n_batches}")
     t_idx = np.concatenate([[0], np.cumsum(lags)])
     n = int(t_idx[-1]) + 1
     stationary_model = model.stationary_start()

@@ -28,10 +28,15 @@ def require_bytes(needed: int, what: str) -> None:
 
 
 def validate_lags(lags: Sequence[int]) -> tuple[int, ...]:
-    """lags as a nonempty tuple of positive ints, else ValueError."""
-    lags = tuple(int(t) for t in lags)
-    if not lags or any(t < 1 for t in lags):
-        raise ValueError("lags must be a nonempty sequence of positive integers")
+    """lags as a nonempty tuple of positive ints, else ValueError (a
+    fractional lag is refused, not truncated; integral floats pass)."""
+    given = tuple(lags)
+    try:
+        lags = tuple(int(t) for t in given)
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf
+        lags = ()
+    if not lags or any(t < 1 for t in lags) or lags != given:
+        raise ValueError(f"lags must be a nonempty sequence of positive integers, got {list(given)!r}")
     return lags
 
 

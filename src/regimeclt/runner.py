@@ -14,14 +14,19 @@ named after the scenario. Reports and tables are byte-identical across
 reruns of the same scenario; the timestamp lives only in the manifest. A
 bound_scale below 1 shrinks every envelope and is the supported way to
 inject faults when exercising the exit-code contract.
+
+tables.csv and verify_all's summary.csv are built as text in one pass, in
+the format Python 3.11's csv writer gives with lineterminator "\n": a field
+is quoted only when it holds a comma, a double quote or a newline ("\r" is
+not quoted), and a quote inside is doubled. Every number in tables.csv is
+repr(float(v)), an absent std_error or bound an empty field. The bytes are
+those the csv module wrote before.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import os
@@ -29,6 +34,7 @@ import re
 import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -269,9 +275,17 @@ BOUND_SLACK = 1e-12
 
 def _check(rows: list[Row], violations: list[str], section: str, label: str,
            value: float, std_error: float | None, bound: float | None) -> None:
-    rows.append((section, label, value, std_error, bound))
-    if bound is not None and value > bound + BOUND_SLACK:
-        violations.append(f"{section}[{label}]: value {value!r} exceeds bound {bound!r}")
+    _check_all(rows, violations, section, (label,), (value,), std_error, bound)
+
+
+def _check_all(rows: list[Row], violations: list[str], section: str, labels: Sequence[str],
+               values: Sequence[float], std_error: float | None, bound: float | None) -> None:
+    """Append one row per (label, value), all sharing std_error and bound."""
+    rows.extend(zip(repeat(section), labels, values, repeat(std_error), repeat(bound)))
+    if bound is not None:
+        limit = bound + BOUND_SLACK
+        violations.extend(f"{section}[{label}]: value {value!r} exceeds bound {bound!r}"
+                          for label, value in zip(labels, values) if value > limit)
 
 
 def _require_ergodic(model: ModelSpec) -> None:
@@ -315,16 +329,14 @@ def _experiment_independence(scenario: Scenario) -> tuple[dict, list[Row], list[
     labels = [ev.describe() for ev in family]
     cond_idx = np.flatnonzero(weights @ model.stationary() > 0.0)
     target_idx = [i for i, ev in enumerate(family) if len(ev.state_set) == 1]
+    # Rows run over targets, then conditioning events: the (C, T) gaps transposed.
+    pairs = [f" target={labels[t]} given={labels[c]}" for t in target_idx for c in cond_idx]
     rows: list[Row] = []
     violations: list[str] = []
     for tau in tau_grid:
         gaps = conditional_gap_matrix(model, weights[target_idx], weights[cond_idx], tau)
-        bound = scale * (2.0 * prof.bound(tau))
-        for ti, t in enumerate(target_idx):
-            for ci, c in enumerate(cond_idx):
-                _check(rows, violations, "conditional",
-                       f"tau={tau} target={labels[t]} given={labels[c]}",
-                       float(gaps[ci, ti]), None, bound)
+        _check_all(rows, violations, "conditional", [f"tau={tau}{pair}" for pair in pairs],
+                   gaps.T.ravel().tolist(), None, scale * (2.0 * prof.bound(tau)))
     chained = chained_gap_bound(prof, lags)
     lag_label = ",".join(str(t) for t in lags)
     for t in target_idx:
@@ -470,19 +482,35 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def _csv_field(text: str) -> str:
+    """text as one field of the module docstring's csv format."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_line(fields: Sequence[str]) -> str:
+    return ",".join(map(_csv_field, fields)) + "\n"
+
+
+class _FloatReprs(dict):
+    """repr(float(v)) by value, each formatted once; None maps to ""."""
+
+    def __missing__(self, v) -> str:
+        text = repr(float(v))
+        if v:  # 0.0 and -0.0 are equal keys, so zeros are never stored
+            self[v] = text
+        return text
+
+
 def _csv_text(rows: Sequence[Row]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["section", "label", "value", "std_error", "bound"])
-    for section, label, value, std_error, bound in rows:
-        writer.writerow([
-            section,
-            label,
-            repr(float(value)),
-            "" if std_error is None else repr(float(std_error)),
-            "" if bound is None else repr(float(bound)),
-        ])
-    return buf.getvalue()
+    # Sections, standard errors and bounds repeat across rows (one bound per
+    # tau on a conditional table), so each distinct one is formatted once.
+    sections = {section: _csv_field(section) for section in {row[0] for row in rows}}
+    reprs = _FloatReprs({None: ""})
+    return _csv_line(("section", "label", "value", "std_error", "bound")) + "".join([
+        f"{sections[section]},{_csv_field(label)},{float(value)!r},{reprs[std_error]},{reprs[bound]}\n"
+        for section, label, value, std_error, bound in rows])
 
 
 @dataclass(frozen=True)
@@ -620,10 +648,7 @@ def verify_all(suite_dir, out_dir, threads: int = 1) -> VerifySummary:
     summary_path = out_root / "summary.json"
     csv_path = out_root / "summary.csv"
     _atomic_write_text(summary_path, json.dumps({"scenarios": entries}, sort_keys=True, indent=2) + "\n")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["file", "name", "experiment", "status", "detail"])
-    for e in entries:
-        writer.writerow([e["file"], e["name"], e["experiment"], e["status"], e["detail"]])
-    _atomic_write_text(csv_path, buf.getvalue())
+    columns = ("file", "name", "experiment", "status", "detail")
+    _atomic_write_text(csv_path, _csv_line(columns) + "".join(
+        _csv_line([str(e[c]) for c in columns]) for e in entries))
     return VerifySummary(entries=tuple(entries), summary_path=summary_path, csv_path=csv_path)

@@ -145,6 +145,13 @@ class TestCfGapFromSamples:
             cf_factorization_gap_from_samples(np.ones((39, 2)), [1.0])
         assert cf_factorization_gap_from_samples(np.ones((40, 2)), [1.0]).replicates == 40
 
+    @pytest.mark.parametrize("n_batches", [1, 0])
+    def test_fewer_than_two_batches_refused(self, n_batches):
+        # One batch has no spread to give a standard error; zero has no batch.
+        x = np.random.default_rng(15).standard_normal((100, 2))
+        with pytest.raises(ValueError, match="two or more batches"):
+            cf_factorization_gap_from_samples(x, [1.0], n_batches=n_batches)
+
     @pytest.mark.parametrize("n_rep,n_vars,n_batches", [(40, 2, 20), (1_003, 3, 20), (20_017, 4, 20),
                                                         (5_000, 5, 7)])
     def test_one_pass_matches_the_batch_loop(self, n_rep, n_vars, n_batches):
@@ -225,6 +232,16 @@ class TestCfGapFromModel:
         # Two per batch pass the check and go on to draw.
         with pytest.raises(AssertionError, match="drew"):
             cf_factorization_gap(bench_model, (2,), [1.0], replicates=40, seed=SeedSpec(1))
+
+    @pytest.mark.parametrize("n_batches", [1, 0])
+    def test_fewer_than_two_batches_refused_before_drawing(self, bench_model, monkeypatch, n_batches):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before refusing too few batches")
+
+        monkeypatch.setattr(SeedSpec, "block_rng", refuse)
+        with pytest.raises(ValueError, match="two or more batches"):
+            cf_factorization_gap(bench_model, (2,), [1.0], replicates=100, seed=SeedSpec(1),
+                                 n_batches=n_batches)
 
 
 class TestCfGapExact:

@@ -210,6 +210,16 @@ class TestJointCore:
             )
             assert abs(joint[idx] - expected) <= 1e-14
 
+    def test_validate_lags_refuses_fractional_lags(self):
+        assert exact.validate_lags([1, 2.0, np.int64(3), np.float64(4.0)]) == (1, 2, 3, 4)
+        assert all(type(t) is int for t in exact.validate_lags(np.array([1, 2])))
+        for lags in ([1.7, 2.9], [2, 0.5], [np.float64(3.5)], [2, float("inf")], [float("nan")], [None]):
+            with pytest.raises(ValueError, match="positive integers"):
+                exact.validate_lags(lags)
+        for lags in ([], [0], [3, -1]):
+            with pytest.raises(ValueError, match="positive integers"):
+                exact.validate_lags(lags)
+
 
 class TestJointProductGap:
     def test_matches_enumeration(self, bench_model):

@@ -1,5 +1,7 @@
 """Tests for scenario parsing, experiment runs, artifacts, and the CLI."""
 
+import csv
+import io
 import json
 import math
 import sys
@@ -12,10 +14,15 @@ from regimeclt import cli, process
 from regimeclt.chain import stationary_distribution
 from regimeclt.clt import _exact_distances, long_run_variance_exact
 from regimeclt.errors import BoundViolated, ConfigInvalid
-from regimeclt.independence import RectEvent, default_event_family, epsilon_certificate
+from regimeclt.independence import (RectEvent, conditional_gap_matrix, default_event_family,
+                                    epsilon_certificate)
 from regimeclt.runner import (
+    BOUND_SLACK,
     EXPERIMENTS,
     Scenario,
+    _csv_field,
+    _csv_text,
+    _experiment_independence,
     load_scenario,
     run,
     run_scenario,
@@ -52,6 +59,26 @@ def write_scenario(path, obj) -> str:
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+TABLE_COLUMNS = ("section", "label", "value", "std_error", "bound")
+
+
+def csv_writer_text(header, lines) -> str:
+    """The csv module's text for a header and lines of string fields."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(lines)
+    return buf.getvalue()
+
+
+def reference_tables_csv(rows) -> str:
+    """tables.csv as csv.writer writes it, numbers as repr(float(v))."""
+    def number(v):
+        return "" if v is None else repr(float(v))
+    return csv_writer_text(TABLE_COLUMNS, [(section, label, number(value), number(se), number(bound))
+                                           for section, label, value, se, bound in rows])
+
 
 FAST_CLT_PARAMS = {
     "n_grid": [16, 64],
@@ -496,6 +523,33 @@ class TestRunScenario:
         report = json.loads(result.report_path.read_text())
         assert report["status"] == 2 and report["violations"]
 
+    def test_shipped_fault_scenario(self, tmp_path, capsys):
+        # An independence run whose shrunk envelopes trip on conditional rows.
+        path = str(SCENARIOS / "faults" / "bound_scale_fault.json")
+        for threads in ("1", "2"):
+            code = cli.main(["run", "--scenario", path, "--out", str(tmp_path / threads),
+                             "--threads", threads])
+            assert code == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "bound-violated"
+        first = ("conditional[tau=1 target=states(1)x(-inf,-1.3316667821001613] "
+                 "given=states(1)x(-inf,-1.3316667821001613]]: value 0.08634977005587599 "
+                 "exceeds bound 0.009333333333333426")
+        assert f"first: {first}" in err["message"]
+        a, b = tmp_path / "1" / "fault-shrunk-envelope", tmp_path / "2" / "fault-shrunk-envelope"
+        for name in ("report.json", "tables.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        report = json.loads((a / "report.json").read_text())
+        assert report["status"] == 2 and report["violations"][0] == first
+        # The violations are the rows over their bounds, in row order.
+        _results, rows, violations = _experiment_independence(load_scenario(path))
+        assert violations == report["violations"] == [
+            f"{section}[{label}]: value {value!r} exceeds bound {bound!r}"
+            for section, label, value, _se, bound in rows
+            if bound is not None and value > bound + BOUND_SLACK
+        ]
+        assert (a / "tables.csv").read_text() == reference_tables_csv(rows)
+
     def test_run_raises_after_writing_artifacts(self, tmp_path):
         path = write_scenario(
             tmp_path / "fault.json",
@@ -505,6 +559,59 @@ class TestRunScenario:
             run(path, tmp_path / "out")
         assert (tmp_path / "out" / "fault" / "report.json").exists()
         assert (tmp_path / "out" / "fault" / "manifest.json").exists()
+
+
+class TestCsvText:
+    def test_matches_csv_writer_on_edge_rows(self):
+        nan = float("nan")
+        rows = [
+            ("mixing", "s=1", 0.5, None, None),
+            ("a,b", 'say "hi", twice', 1.0, 0.0, -0.0),
+            ("quote\"d", "line\nbreak", -0.0, -0.0, 0.0),
+            ("sec", "both, \"and\"\nnewline", 0.0, 0.0, -0.0),
+            ("sec", "s", nan, float("inf"), float("-inf")),
+            ("sec", "s", float("-inf"), nan, nan),
+            ("sec", "tiny", 5e-324, 5e-324, -5e-324),
+            ("sec", "", np.float64(0.1), np.float64(-0.0), np.float64(0.25)),
+            ("sec", "ints", 3, 0, True),
+            ("sec", "repeat", 0.25, None, 0.25),
+            ("sec", "repeat", -0.0, float("nan"), 0.0),
+        ]
+        text = _csv_text(rows)
+        assert text == reference_tables_csv(rows)
+        # A signed zero keeps its sign whichever zero the column saw first.
+        parsed = list(csv.reader(io.StringIO(text)))[1:]
+        assert [line[2:] for line in parsed[1:4]] == [
+            ["1.0", "0.0", "-0.0"], ["-0.0", "-0.0", "0.0"], ["0.0", "0.0", "-0.0"]]
+        assert parsed[-1] == ["sec", "repeat", "-0.0", "nan", "0.0"]
+
+    def test_carriage_return_is_not_quoted(self):
+        # The format is Python 3.11's csv writer: "\r" alone is not quoted.
+        assert _csv_field("a\rb") == "a\rb"
+        assert _csv_field("a,b") == '"a,b"' and _csv_field('a"b') == '"a""b"'
+
+    def test_matches_csv_writer_on_exact_gaps_sized_table(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        s = Scenario.from_json_dict(workloads.exact_gaps(workloads.DEFAULT_SEEDS["exact-gaps"]))
+        _results, rows, violations = _experiment_independence(s)
+        assert len(rows) == 10 * 23 * 30 + 30 + 1 and violations == []
+        assert len({row[4] for row in rows}) == 10 + 1
+        assert _csv_text(rows) == reference_tables_csv(rows)
+        # The conditional rows, cell by cell: targets outer, conditioning events inner.
+        family = default_event_family(s.model, quantile_levels=s.params["quantile_levels"])
+        weights = np.stack([ev.weights(s.model) for ev in family])
+        targets = [i for i, ev in enumerate(family) if len(ev.state_set) == 1]
+        conds = [i for i, w in enumerate(weights) if w @ s.model.stationary() > 0.0]
+        expected = []
+        for tau in s.params["tau_grid"]:
+            gaps = conditional_gap_matrix(s.model, weights[targets], weights[conds], tau)
+            for ti, t in enumerate(targets):
+                for ci, c in enumerate(conds):
+                    expected.append((f"tau={tau} target={family[t].describe()} "
+                                     f"given={family[c].describe()}", float(gaps[ci, ti])))
+        assert [(label, value) for _s, label, value, _se, _b in rows[:len(expected)]] == expected
 
 
 class TestDeterminism:
@@ -568,6 +675,19 @@ class TestVerifyAll:
         csv_lines = (out / "summary.csv").read_text().splitlines()
         assert csv_lines[0] == "file,name,experiment,status,detail"
         assert len(csv_lines) == 4
+
+    def test_summary_csv_quotes_details(self, tmp_path):
+        # The config error quotes the parameter name: a comma and a quote.
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        write_scenario(suite / "a.json", scenario_dict(name="a", params={'x,"y': 1}))
+        write_scenario(suite / "b.json", scenario_dict(name="b", params={"s_max": 5}))
+        summary = verify_all(suite, tmp_path / "out")
+        detail = summary.entries[0]["detail"]
+        assert "," in detail and '"' in detail
+        columns = ("file", "name", "experiment", "status", "detail")
+        expected = csv_writer_text(columns, [[e[c] for c in columns] for e in summary.entries])
+        assert summary.csv_path.read_text() == expected
 
     def test_empty_suite(self, tmp_path):
         suite = tmp_path / "empty"
