@@ -44,11 +44,9 @@ from .errors import (
     BoundViolated,
     ConfigInvalid,
     EmptyConditioningEvent,
-    GapExceedsBlock,
     InvalidModel,
     NotErgodic,
     RegimecltError,
-    TooManyEventsForExact,
     ZeroLikelihood,
 )
 from .independence import (
@@ -91,7 +89,6 @@ __all__ = [
     "EmissionSpec",
     "EmptyConditioningEvent",
     "ErgodicityReport",
-    "GapExceedsBlock",
     "GapReport",
     "Gaussian",
     "InvalidModel",
@@ -109,7 +106,6 @@ __all__ = [
     "ShiftedExponential",
     "StationaryDistribution",
     "StepApproximation",
-    "TooManyEventsForExact",
     "TransitionMatrix",
     "Uniform",
     "VerifySummary",

@@ -96,7 +96,7 @@ class TransitionMatrix:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TransitionMatrix":
         rows = np.asarray(obj["rows"], dtype=np.float64)
-        if "n_states" in obj and int(obj["n_states"]) != rows.shape[0]:
+        if "n_states" in obj and obj["n_states"] != rows.shape[0]:
             raise ValueError("n_states does not match the number of rows")
         return cls(rows)
 

@@ -138,12 +138,12 @@ class CfGapReport:
         return float(np.max(self.gaps))
 
 
-def cf_factorization_gap_from_samples(samples, t_grid, n_batches: int = CF_GAP_BATCHES) -> CfGapReport:
+def cf_factorization_gap_from_samples(samples, t_grid) -> CfGapReport:
     """Gap |mean e^{it sum X_r} - prod mean e^{it X_r}| per t, from joint replicates.
 
     samples has one row per replicate and one column per variable. Both
     sides are computed from the same rows; the standard error is the spread
-    of per-batch gap estimates across a fixed split into n_batches >= 2
+    of per-batch gap estimates across a fixed split into CF_GAP_BATCHES
     batches of contiguous rows, each of at least two rows (a one-row batch
     has gap 0).
     Per t, exp(itX) is taken once, exp(it sum X) is the product of its
@@ -152,13 +152,14 @@ def cf_factorization_gap_from_samples(samples, t_grid, n_batches: int = CF_GAP_B
     """
     # C order at entry: the reductions' last bits depend on the layout.
     x = np.ascontiguousarray(samples, dtype=np.float64)
-    if n_batches < 2 or x.ndim != 2 or x.shape[0] < 2 * n_batches or x.shape[1] < 2:
-        raise ValueError("samples must be (replicates, n_vars), two or more batches of two rows per batch")
+    if x.ndim != 2 or x.shape[0] < 2 * CF_GAP_BATCHES or x.shape[1] < 2:
+        raise ValueError(f"samples must be (replicates, n_vars), {CF_GAP_BATCHES} batches of two rows "
+                         "per batch")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))
     n_rep, n_vars = x.shape
-    # The array_split of the rows: the first n_rep % n_batches batches take one more.
-    sizes = np.full(n_batches, n_rep // n_batches)
-    sizes[: n_rep % n_batches] += 1
+    # The array_split of the rows: the first n_rep % CF_GAP_BATCHES batches take one more.
+    sizes = np.full(CF_GAP_BATCHES, n_rep // CF_GAP_BATCHES)
+    sizes[: n_rep % CF_GAP_BATCHES] += 1
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
 
     gaps = np.empty(t_grid.shape)
@@ -172,7 +173,7 @@ def cf_factorization_gap_from_samples(samples, t_grid, n_batches: int = CF_GAP_B
         sum_sums = np.add.reduceat(e_sum, starts)
         gaps[j] = abs(sum_sums.sum() / n_rep - np.prod(var_sums.sum(axis=0) / n_rep))
         batch_gaps = np.abs(sum_sums / sizes - np.prod(var_sums / sizes[:, None], axis=1))
-        std_errors[j] = float(batch_gaps.std(ddof=1) / math.sqrt(n_batches))
+        std_errors[j] = float(batch_gaps.std(ddof=1) / math.sqrt(CF_GAP_BATCHES))
     return CfGapReport(
         t_grid=t_grid, gaps=gaps, std_errors=std_errors, n_vars=n_vars, replicates=n_rep
     )
@@ -184,28 +185,27 @@ def cf_factorization_gap(
     t_grid,
     replicates: int = 100_000,
     seed: SeedSpec | None = None,
-    n_batches: int = CF_GAP_BATCHES,
 ) -> CfGapReport:
     """Sample (X_1, ..., X_k) at the given spacings and measure the cf gap.
 
     Variables are the observations of one stationary path at time points
     separated by the lags; replicates are independent paths drawn at those
     times only from the block streams of iter_path_chunks, so replicate r is
-    the same path for every replicates > r. Fewer than two batches, or fewer
-    than two replicates per batch, raise ValueError before anything is drawn.
+    the same path for every replicates > r. Fewer than two replicates per
+    batch raise ValueError before anything is drawn.
     """
     if seed is None:
         raise ValueError("a seed is required")
     lags = exact.validate_lags(lags)
-    if n_batches < 2 or replicates < 2 * n_batches:
-        raise ValueError(f"need two or more batches, two per batch; got {replicates} in {n_batches}")
+    if replicates < 2 * CF_GAP_BATCHES:
+        raise ValueError(f"need two replicates per batch; got {replicates} in {CF_GAP_BATCHES}")
     t_idx = np.concatenate([[0], np.cumsum(lags)])
     n = int(t_idx[-1]) + 1
     stationary_model = model.stationary_start()
     rows = np.empty((replicates, len(t_idx)))
     for start, _states, obs in iter_path_chunks(stationary_model, n, replicates, seed, times=t_idx):
         rows[start : start + obs.shape[0]] = obs
-    return cf_factorization_gap_from_samples(rows, t_grid, n_batches=n_batches)
+    return cf_factorization_gap_from_samples(rows, t_grid)
 
 
 def cf_gap_exact(model: ModelSpec, lags, t_grid) -> NDArray[np.float64]:

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import exact
-from .errors import ConfigInvalid, GapExceedsBlock
+from .errors import ConfigInvalid
 from .process import ModelSpec, mixture_abs_third_moment, mixture_mean, mixture_variance
 
 BLOCK_EXPONENT_MAX = 0.25
@@ -96,8 +96,8 @@ def decompose(n: int, alpha_exp: float, m: int) -> BlockDecomposition:
     """Block decomposition with k = floor(n^alpha_exp) and gap m.
 
     alpha_exp must lie in (0, 1/4]; the upper endpoint is allowed so the
-    quarter-power blocking is expressible. Raises GapExceedsBlock when the
-    gap m does not leave room inside a block (m >= k).
+    quarter-power blocking is expressible. Raises ValueError for a bad
+    input, including a gap m that leaves no room inside a block (m >= k).
     """
     if n < 4:
         raise ValueError("n must be at least 4")
@@ -107,7 +107,7 @@ def decompose(n: int, alpha_exp: float, m: int) -> BlockDecomposition:
         raise ValueError("gap m must be a positive integer")
     k = _guarded_power_floor(n, alpha_exp)
     if m >= k:
-        raise GapExceedsBlock(f"gap m={m} does not fit in blocks of k={k} indices")
+        raise ValueError(f"gap m={m} does not fit in blocks of k={k} indices")
     return BlockDecomposition(n=n, alpha_exp=alpha_exp, m=m, k=k, nu=n // k)
 
 

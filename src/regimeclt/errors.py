@@ -25,14 +25,6 @@ class EmptyConditioningEvent(RegimecltError):
     """The conditioning event has probability zero."""
 
 
-class TooManyEventsForExact(RegimecltError):
-    """Exact joint evaluation was requested for more events than supported."""
-
-
-class GapExceedsBlock(RegimecltError):
-    """Requested inter-block gap does not fit inside the block length."""
-
-
 class ConfigInvalid(RegimecltError):
     """Scenario configuration is malformed or semantically invalid (exit 1)."""
 

@@ -29,11 +29,10 @@ from numpy.typing import NDArray
 
 from . import exact
 from .chain import MixingProfile, mixing_rate
-from .errors import EmptyConditioningEvent, TooManyEventsForExact
+from .errors import EmptyConditioningEvent
 from .process import CHUNK_ELEMENTS, ModelSpec, iter_path_chunks, mixture_quantile
 from .seeds import SeedSpec
 
-MAX_EXACT_EVENTS = 6
 # Tuples of an explicit family scored per stacked product.
 EXPLICIT_FAMILY_CHUNK = 1 << 16
 
@@ -186,11 +185,6 @@ def joint_product_gap(
 
     Event r sits lags[r-1] steps after event r-1 (k events, k-1 lags). The
     reported envelope is k c alpha^(sum lags).
-
-    Raises
-    ------
-    TooManyEventsForExact
-        If method="exact" and more than 6 events are given.
     """
     k = len(events)
     if k < 2:
@@ -203,8 +197,6 @@ def joint_product_gap(
     bound = k * prof.c * prof.alpha**total_lag
 
     if method == "exact":
-        if k > MAX_EXACT_EVENTS:
-            raise TooManyEventsForExact(f"exact evaluation supports at most {MAX_EXACT_EVENTS} events")
         gap, std_error = _max_tuple_gap(model, [events], lags), 0.0
     elif method == "mc":
         if seed is None:
@@ -295,32 +287,35 @@ def epsilon_certificate(
     """Certified near-independence level over a rectangle-event family.
 
     Returns the largest joint-product gap across the family of event tuples
-    at the given spacings. With the default family the tuples are all
-    combinations of the reference events, one per time point; base_events
-    swaps in a different per-position event pool. In Monte Carlo mode every
-    tuple is evaluated on a common replicate set and 3 standard errors are
-    added, making the certificate conservative.
+    at the given spacings. Without a family the tuples are all combinations
+    of a per-position event pool, one event per time point: base_events, or
+    by default each regime's full-line event and the full space. In Monte
+    Carlo mode every tuple is evaluated on a common replicate set and 3
+    standard errors are added, making the certificate conservative.
 
     The exact gap is multilinear in the events' weight vectors: an event
     weighing s v, with 0 <= s <= 1 and v another pool event's weights, gives
-    s times the gap of the same tuple with v in its place. A pool (default
-    or base_events) is therefore pruned to its undominated events before
-    either method scores it: the true maximum lies on them, so the exact
-    value is unchanged and the Monte Carlo value stays conservative. For the
-    default pool these are the full-line regime events and the full space.
+    s times the gap of the same tuple with v in its place. A pool is
+    therefore pruned to its undominated events before either method scores
+    it: the true maximum lies on them, so the exact value is unchanged and
+    the Monte Carlo value stays conservative. The default pool is what that
+    pruning leaves of `default_event_family` at any quantile levels (a
+    half-line weighs F_j(q) <= 1 on its regime), so it solves no quantile.
     An explicit family is scored as given, its tuples stacked in chunks and
     each distinct event weighed once. A pool or family with nothing to
-    score gives 0.
+    score gives 0. Any number of lags is taken; an exact pool whose prefix
+    DP would pass exact.MAX_EXACT_BYTES raises ConfigInvalid first.
     """
     lags = exact.validate_lags(lags)
     k = len(lags) + 1
     if family is not None and base_events is not None:
         raise ValueError("give either an explicit family or base_events, not both")
-    if method == "exact" and k > MAX_EXACT_EVENTS:
-        raise TooManyEventsForExact(f"exact evaluation supports at most {MAX_EXACT_EVENTS} events")
 
     if family is None:
-        base = default_event_family(model) if base_events is None else tuple(base_events)
+        if base_events is None:
+            regimes = range(1, model.n_states + 1)
+            base_events = [RectEvent(frozenset({j})) for j in regimes] + [RectEvent(frozenset(regimes))]
+        base = tuple(base_events)
         weights = np.stack([ev.weights(model) for ev in base])
         keep = _undominated(weights)
         if method == "exact":

@@ -521,7 +521,12 @@ class ModelSpec:
         if init_obj == "stationary":
             initial = "stationary"
         elif isinstance(init_obj, dict) and "fixed_state" in init_obj:
-            initial = int(init_obj["fixed_state"])
+            initial = init_obj["fixed_state"]
+            # An integral float passes; int() would truncate 1.5 and overflow on inf.
+            if isinstance(initial, float) and initial.is_integer():
+                initial = int(initial)
+            if isinstance(initial, bool) or not isinstance(initial, int):
+                raise InvalidModel(f"fixed_state must be an integer regime label, got {initial!r}")
         elif isinstance(init_obj, dict) and "probs" in init_obj:
             initial = tuple(float(v) for v in init_obj["probs"])
         else:

@@ -31,6 +31,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -45,16 +46,9 @@ from .chain import is_ergodic, mixing_rate
 from .charfn import (CF_GAP_BATCHES, build_step_approximation, cf_factorization_gap, cf_gap_exact,
                      truncation_radius)
 from .clt import KS_EXACT_ATOL, clt_convergence, decompose, remainder_diagnostic
-from .errors import (BoundViolated, ConfigInvalid, GapExceedsBlock, InvalidModel, RegimecltError,
-                     TooManyEventsForExact)
-from .independence import (
-    RectEvent,
-    chained_gap_bound,
-    conditional_gap_matrix,
-    default_event_family,
-    epsilon_certificate,
-    joint_product_gap,
-)
+from .errors import BoundViolated, ConfigInvalid, InvalidModel, RegimecltError
+from .independence import (chained_gap_bound, conditional_gap_matrix, default_event_family,
+                           epsilon_certificate, joint_product_gap)
 from .process import ModelSpec
 from .seeds import SeedSpec
 
@@ -112,17 +106,14 @@ def _normalize_params(experiment: str, params: Mapping) -> dict:
             raise ConfigInvalid(f"unknown parameter {key!r} for experiment {experiment!r} (known: {known})")
         merged[key] = value
     for key, value in merged.items():
-        try:
-            if key in _INT_PARAMS:
-                merged[key] = _as_int(value, key, minimum=_MIN_SAMPLES.get((experiment, key), 1))
-            elif key in _FLOAT_PARAMS:
-                merged[key] = _as_float(value, key)
-            elif key in _INT_LIST_PARAMS:
-                merged[key] = [_as_int(v, key, minimum=1) for v in _as_list(value, key)]
-            elif key in _FLOAT_LIST_PARAMS:
-                merged[key] = [_as_float(v, key) for v in _as_list(value, key)]
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"parameter {key!r}: {exc}") from exc
+        if key in _INT_PARAMS:
+            merged[key] = _as_int(value, f"parameter {key!r}", _MIN_SAMPLES.get((experiment, key), 1))
+        elif key in _FLOAT_PARAMS:
+            merged[key] = _as_float(value, key)
+        elif key in _INT_LIST_PARAMS:
+            merged[key] = [_as_int(v, f"parameter {key!r}", 1) for v in _as_list(value, key)]
+        elif key in _FLOAT_LIST_PARAMS:
+            merged[key] = [_as_float(v, key) for v in _as_list(value, key)]
     if merged.get("eta", 1.0) <= 0.0:
         raise ConfigInvalid(f"parameter 'eta' must be positive, got {merged['eta']!r}")
     if any(v < 0.0 for v in merged.get("eta_grid", ())):
@@ -141,17 +132,32 @@ def _as_list(value, key) -> list:
     return list(value)
 
 
-def _as_int(value, key, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
-        raise ConfigInvalid(f"parameter {key!r} must be an integer, got {value!r}")
+def _as_int(value, what: str, minimum: int) -> int:
+    # An integral float passes; int() would truncate 7.9 and overflow on inf.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ConfigInvalid(f"{what} must be an integer, got {value!r}")
     iv = int(value)
     if iv < minimum:
-        raise ConfigInvalid(f"parameter {key!r} must be >= {minimum}, got {iv}")
+        raise ConfigInvalid(f"{what} must be >= {minimum}, got {iv}")
     return iv
 
 
+def _as_seed(value) -> SeedSpec:
+    """A config seed, an integer base or {"base": ..., "stream": ...}."""
+    fields = value if isinstance(value, dict) else {"base": value}
+    if "base" not in fields:
+        raise ConfigInvalid("invalid seed: missing 'base'")
+    try:
+        return SeedSpec(_as_int(fields["base"], "seed base", 0),
+                        _as_int(fields.get("stream", 0), "seed stream", 0))
+    except ValueError as exc:  # a base of 2^64 or more
+        raise ConfigInvalid(f"invalid seed: {exc}") from exc
+
+
 def _as_float(value, key) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    # Compared, not converted: float() of an int past float range overflows.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         raise ConfigInvalid(f"parameter {key!r} must be a finite number, got {value!r}")
     return float(value)
 
@@ -176,7 +182,7 @@ class Scenario:
             raise ConfigInvalid(
                 f"unknown experiment {self.experiment!r}; expected one of {', '.join(EXPERIMENTS)}"
             )
-        if not (isinstance(self.bound_scale, (int, float)) and 0.0 < float(self.bound_scale) < math.inf):
+        if not (isinstance(self.bound_scale, (int, float)) and 0.0 < self.bound_scale <= sys.float_info.max):
             raise ConfigInvalid("bound_scale must be a positive finite number")
         object.__setattr__(self, "bound_scale", float(self.bound_scale))
         object.__setattr__(self, "params", _normalize_params(self.experiment, self.params))
@@ -214,16 +220,9 @@ class Scenario:
                 raise ConfigInvalid(f"scenario is missing required field {required!r}")
         try:
             model = ModelSpec.from_json_dict(obj["model"])
-        except (RegimecltError, ValueError, KeyError, TypeError) as exc:
+        except (RegimecltError, ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ConfigInvalid(f"invalid model: {exc}") from exc
-        seed_obj = obj.get("seed", 0)
-        try:
-            if isinstance(seed_obj, dict):
-                seed = SeedSpec.from_json_dict(seed_obj)
-            else:
-                seed = SeedSpec(int(seed_obj))
-        except (ValueError, TypeError, KeyError) as exc:
-            raise ConfigInvalid(f"invalid seed: {exc}") from exc
+        seed = _as_seed(obj.get("seed", 0))
         return cls(
             name=str(obj["name"]),
             experiment=str(obj["experiment"]),
@@ -239,7 +238,7 @@ class Scenario:
         The replicates override touches only experiments that have a
         replicates parameter; elsewhere it is ignored.
         """
-        new_seed = self.seed if seed is None else SeedSpec(int(seed))
+        new_seed = self.seed if seed is None else _as_seed(seed)
         params = dict(self.params)
         if replicates is not None and "replicates" in _PARAM_DEFAULTS[self.experiment]:
             params["replicates"] = int(replicates)
@@ -344,7 +343,7 @@ def _experiment_independence(scenario: Scenario) -> tuple[dict, list[Row], list[
                                 profile=prof)
         _check(rows, violations, "joint", f"lags={lag_label} event={labels[t]}",
                rep.gap_estimate, None, scale * chained)
-    eps = epsilon_certificate(model, lags, base_events=family)
+    eps = epsilon_certificate(model, lags)
     _check(rows, violations, "epsilon", f"lags={lag_label}", eps, None, scale * chained)
     results = {
         "alpha": prof.alpha,
@@ -365,17 +364,7 @@ def _experiment_cf_gap(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
     # Built first so that a refused step approximation costs no sampling.
     radius = truncation_radius(model, params["eta"])
     approximations = [build_step_approximation(t, params["eta"], radius) for t in params["t_grid"]]
-    # The certificate family must keep the regime-aware rectangles: with
-    # observation-only rectangles the exact gap can exceed 2 eps (the
-    # two-point gap is pi_1 pi_2 alpha^tau |phi_1 - phi_2|^2, which beats
-    # twice the best rectangle gap once |phi_1 - phi_2| passes sqrt(2) times
-    # the sup distribution-function distance). Of the quantile-level family
-    # only the full-line regime events and the full space are undominated
-    # (a half-line weighs F_j(q) <= 1 on its regime), so that pool is built
-    # directly: quantile_levels is validated but solves no quantile.
-    regimes = range(1, model.n_states + 1)
-    pool = [RectEvent(frozenset({j})) for j in regimes] + [RectEvent(frozenset(regimes))]
-    eps = epsilon_certificate(model, lags, base_events=pool)
+    eps = epsilon_certificate(model, lags)
     rep = cf_factorization_gap(
         model, lags, params["t_grid"], replicates=params["replicates"],
         seed=scenario.seed.child(1),
@@ -411,7 +400,7 @@ def _experiment_clt(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
     n_max = max(params["n_grid"])
     try:
         d = decompose(n_max, params["alpha_exp"], params["m"])
-    except (GapExceedsBlock, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigInvalid(f"block decomposition of n={n_max}: {exc}") from exc
     # The remainder's p^2 R^2 / n envelope is checked before the exact
     # distances: an emission scale that overflows R is refused.
@@ -540,9 +529,9 @@ def run_scenario(scenario: Scenario, out_dir, threads: int = 1) -> RunResult:
     _require_ergodic(scenario.model)
     try:
         results, rows, violations = _PIPELINES[scenario.experiment](scenario)
-    except (InvalidModel, TooManyEventsForExact) as exc:
-        # The scenario parsed, but this experiment cannot run it: the sampler's
-        # next-regime table, or the number of exact events, passes its cap.
+    except InvalidModel as exc:
+        # The scenario parsed, but the sampler's next-regime table for this
+        # model passes its cap.
         raise ConfigInvalid(f"model cannot be run by {scenario.experiment}: {exc}") from exc
     status = 2 if violations else 0
 
@@ -618,7 +607,9 @@ def verify_all(suite_dir, out_dir, threads: int = 1) -> VerifySummary:
     """Run every *.json scenario under suite_dir and tabulate the outcomes.
 
     Scenario failures do not stop the sweep: config problems record status
-    1, bound violations 2, unexpected errors 3. An empty suite yields an
+    1, bound violations 2, unexpected errors 3. A file whose scenario name an
+    earlier file already used records status 1 and writes nothing, so it
+    cannot overwrite that scenario's artifacts. An empty suite yields an
     empty summary with exit code 0.
     """
     suite = Path(suite_dir)
@@ -627,12 +618,16 @@ def verify_all(suite_dir, out_dir, threads: int = 1) -> VerifySummary:
     out_root = Path(out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     entries: list[dict] = []
+    first_file: dict[str, str] = {}  # scenario name -> the file that claimed it
     for path in sorted(suite.glob("*.json")):
         entry = {"file": path.name, "name": "", "experiment": "", "status": 0, "detail": ""}
         try:
             scenario = load_scenario(path)
             entry["name"] = scenario.name
             entry["experiment"] = scenario.experiment
+            earlier = first_file.setdefault(scenario.name, path.name)
+            if earlier != path.name:
+                raise ConfigInvalid(f"scenario name {scenario.name!r} is already used by {earlier}")
             result = run_scenario(scenario, out_root, threads=threads)
             entry["status"] = result.status
             if result.violations:

@@ -137,7 +137,7 @@ class TestCfGapFromSamples:
         with pytest.raises(ValueError):
             cf_factorization_gap_from_samples(np.ones(50), [1.0])
         with pytest.raises(ValueError):
-            cf_factorization_gap_from_samples(np.ones((10, 2)), [1.0], n_batches=20)
+            cf_factorization_gap_from_samples(np.ones((10, 2)), [1.0])
         with pytest.raises(ValueError):
             cf_factorization_gap_from_samples(np.ones((50, 1)), [1.0])
         # One row per batch would make every batch gap 0: two rows each are needed.
@@ -145,21 +145,14 @@ class TestCfGapFromSamples:
             cf_factorization_gap_from_samples(np.ones((39, 2)), [1.0])
         assert cf_factorization_gap_from_samples(np.ones((40, 2)), [1.0]).replicates == 40
 
-    @pytest.mark.parametrize("n_batches", [1, 0])
-    def test_fewer_than_two_batches_refused(self, n_batches):
-        # One batch has no spread to give a standard error; zero has no batch.
-        x = np.random.default_rng(15).standard_normal((100, 2))
-        with pytest.raises(ValueError, match="two or more batches"):
-            cf_factorization_gap_from_samples(x, [1.0], n_batches=n_batches)
-
     @pytest.mark.parametrize("n_rep,n_vars,n_batches", [(40, 2, 20), (1_003, 3, 20), (20_017, 4, 20),
-                                                        (5_000, 5, 7)])
+                                                        (5_000, 5, 20)])
     def test_one_pass_matches_the_batch_loop(self, n_rep, n_vars, n_batches):
         # n_rep not divisible by the batch count gives batches of two sizes.
         rng = np.random.default_rng(n_rep)
         x = np.cumsum(rng.standard_normal((n_rep, n_vars)), axis=1) * rng.uniform(0.5, 2.0)
         t_grid = [-1.5, 0.3, 0.5, 1.0, 2.0, 4.0]
-        rep = cf_factorization_gap_from_samples(x, t_grid, n_batches=n_batches)
+        rep = cf_factorization_gap_from_samples(x, t_grid)
         gaps, std_errors = oracles.cf_gap_batches_loop(x, t_grid, n_batches)
         np.testing.assert_allclose(rep.gaps, gaps, rtol=1e-12)
         np.testing.assert_allclose(rep.std_errors, std_errors, rtol=1e-12)
@@ -225,23 +218,13 @@ class TestCfGapFromModel:
             raise AssertionError("drew before refusing too few replicates")
 
         monkeypatch.setattr(SeedSpec, "block_rng", refuse)
-        for replicates, n_batches in [(39, 20), (30, 20), (5, 3)]:
+        for replicates in (39, 30, 5):
             with pytest.raises(ValueError, match="per batch"):
                 cf_factorization_gap(bench_model, (2,), [1.0], replicates=replicates,
-                                     seed=SeedSpec(1), n_batches=n_batches)
+                                     seed=SeedSpec(1))
         # Two per batch pass the check and go on to draw.
         with pytest.raises(AssertionError, match="drew"):
             cf_factorization_gap(bench_model, (2,), [1.0], replicates=40, seed=SeedSpec(1))
-
-    @pytest.mark.parametrize("n_batches", [1, 0])
-    def test_fewer_than_two_batches_refused_before_drawing(self, bench_model, monkeypatch, n_batches):
-        def refuse(*args, **kwargs):
-            raise AssertionError("drew before refusing too few batches")
-
-        monkeypatch.setattr(SeedSpec, "block_rng", refuse)
-        with pytest.raises(ValueError, match="two or more batches"):
-            cf_factorization_gap(bench_model, (2,), [1.0], replicates=100, seed=SeedSpec(1),
-                                 n_batches=n_batches)
 
 
 class TestCfGapExact:

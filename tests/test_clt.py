@@ -31,7 +31,7 @@ from regimeclt.clt import (
     sum_variance_exact,
     _exact_distances,
 )
-from regimeclt.errors import ConfigInvalid, GapExceedsBlock
+from regimeclt.errors import ConfigInvalid
 from regimeclt.process import (
     EmissionSpec,
     Gaussian,
@@ -113,7 +113,7 @@ class TestDecompose:
             decompose(100, 0.3, 1)
         with pytest.raises(ValueError):
             decompose(100, 0.25, 0)
-        with pytest.raises(GapExceedsBlock):
+        with pytest.raises(ValueError, match="does not fit"):
             decompose(100, 0.25, 3)
 
     def test_record_rejects_bad_partition(self):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from regimeclt import exact, independence
 from regimeclt.chain import TransitionMatrix, mixing_rate
-from regimeclt.errors import ConfigInvalid, EmptyConditioningEvent, TooManyEventsForExact
+from regimeclt.errors import ConfigInvalid, EmptyConditioningEvent
 from regimeclt.independence import (
     RectEvent,
     chained_gap_bound,
@@ -355,8 +355,24 @@ class TestJointProductGap:
             joint_product_gap(bench_model, [FULL, FULL], (0,))
         with pytest.raises(ValueError):
             joint_product_gap(bench_model, [FULL, FULL], (1,), method="mc")
-        with pytest.raises(TooManyEventsForExact):
-            joint_product_gap(bench_model, [FULL] * 7, (1,) * 6)
+
+    @pytest.mark.parametrize("lags", [(1, 2, 1, 1, 2, 1), (1, 1, 2, 1, 1, 1, 2)],
+                             ids=["7-events", "8-events"])
+    @pytest.mark.parametrize("event", [STATE1, RectEvent(frozenset({1}), -math.inf, 0.0),
+                                       RectEvent(frozenset({2}), -0.5, 1.0)],
+                             ids=["state1", "state1-below-0", "state2-window"])
+    def test_more_than_six_events(self, bench_model, lags, event):
+        # Exact routes take any number of events. One event repeated gives
+        # the same bits as a gap, as an explicit one-tuple family and as a
+        # one-event pool (the prefix DP), and matches path enumeration.
+        k = len(lags) + 1
+        gap = joint_product_gap(bench_model, [event] * k, lags).gap_estimate
+        assert epsilon_certificate(bench_model, lags, family=[(event,) * k]) == gap
+        assert epsilon_certificate(bench_model, lags, base_events=[event]) == gap
+        pi, w = bench_model.stationary(), event.weights(bench_model)
+        times = [0, *itertools.accumulate(lags)]
+        joint = oracles.enumerate_joint_probability(pi, bench_model.chain.p, times, [w] * k)
+        assert gap == pytest.approx(abs(joint - (pi @ w) ** k), abs=1e-15)
 
 
 class TestEnvelopes:
@@ -533,11 +549,6 @@ class TestEpsilonCertificate:
             epsilon_certificate(bench_model, (1,), family=[(FULL,)])
         with pytest.raises(ValueError):
             epsilon_certificate(bench_model, (1,), method="mc")
-        with pytest.raises(TooManyEventsForExact):
-            epsilon_certificate(bench_model, (1,) * 6, base_events=[FULL, STATE1])
-        # An explicit family is capped too: this 8-event tuple once gave 0.2798.
-        with pytest.raises(TooManyEventsForExact):
-            epsilon_certificate(bench_model, (1,) * 7, family=[(STATE1,) * 8])
         # profile was accepted and never read; it is no longer a parameter.
         with pytest.raises(TypeError):
             epsilon_certificate(bench_model, (1,), profile=None)

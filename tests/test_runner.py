@@ -689,6 +689,23 @@ class TestVerifyAll:
         expected = csv_writer_text(columns, [[e[c] for c in columns] for e in summary.entries])
         assert summary.csv_path.read_text() == expected
 
+    def test_duplicate_name_does_not_overwrite(self, tmp_path):
+        # The later file would write into the earlier one's directory; it is
+        # refused with status 1 and the earlier artifacts stay as they were.
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        write_scenario(suite / "a.json", scenario_dict(name="same", params={"s_max": 10}))
+        write_scenario(suite / "b.json", scenario_dict(name="same", params={"s_max": 12}))
+        out = tmp_path / "out"
+        summary = verify_all(suite, out)
+        assert [e["status"] for e in summary.entries] == [0, 1]
+        assert summary.entries[1]["detail"] == "scenario name 'same' is already used by a.json"
+        assert summary.exit_code == 1
+        report = json.loads((out / "same" / "report.json").read_text())
+        assert report["scenario"]["params"]["s_max"] == 10
+        assert sorted(path.name for path in (out / "same").iterdir()) == \
+            ["manifest.json", "report.json", "tables.csv"]
+
     def test_empty_suite(self, tmp_path):
         suite = tmp_path / "empty"
         suite.mkdir()
@@ -803,16 +820,68 @@ class TestCli:
         assert "next-regime table" in err["message"]
 
     @pytest.mark.parametrize("experiment", ["independence", "cf_gap"])
-    def test_run_too_many_events_is_config_error(self, tmp_path, capsys, experiment):
-        # Six lags put seven events past exact evaluation's cap of six: exit 1,
-        # not an internal error.
+    def test_run_six_lags_exits_0(self, tmp_path, experiment):
+        # Seven exact events: only the byte cap limits an exact route, and
+        # the artifacts do not depend on --threads.
         params = {"lags": [1] * 6, "quantile_levels": [0.5]}
+        if experiment == "cf_gap":
+            params.update(t_grid=[1.0], replicates=2_000)
         path = write_scenario(tmp_path / "s.json", scenario_dict(experiment=experiment, params=params))
-        code = cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")])
+        for threads in ("1", "2"):
+            out = str(tmp_path / f"out{threads}")
+            assert cli.main(["run", "--scenario", path, "--out", out, "--threads", threads]) == 0
+        for name in ("report.json", "tables.csv"):
+            assert (tmp_path / "out1" / "t1" / name).read_bytes() == \
+                (tmp_path / "out2" / "t1" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "fields,model_fields,flags,message",
+        [({"params": {"s_max": math.inf}}, {}, [], "'s_max' must be an integer, got inf"),
+         ({"experiment": "independence", "params": {"lags": [2, math.inf]}}, {}, [],
+          "'lags' must be an integer, got inf"),
+         ({"experiment": "cf_gap", "params": {"eta": 10**400}}, {}, [], "'eta' must be a finite number"),
+         ({"bound_scale": 10**400}, {}, [], "bound_scale must be a positive finite number"),
+         ({"seed": math.inf}, {}, [], "seed base must be an integer, got inf"),
+         ({"seed": 7.9}, {}, [], "seed base must be an integer, got 7.9"),
+         ({"seed": {"base": 7, "stream": 0.5}}, {}, [], "seed stream must be an integer, got 0.5"),
+         ({}, {"initial": {"fixed_state": 1.5}}, [], "fixed_state must be an integer regime label"),
+         ({}, {"chain": dict(BENCH_MODEL_JSON["chain"], n_states=math.inf)}, [],
+          "n_states does not match the number of rows"),
+         ({}, {"emissions": [BENCH_MODEL_JSON["emissions"][0],
+                             {"family": "gaussian", "mu": 10**400, "sigma": 1.0}]}, [],
+          "invalid model: int too large to convert to float"),
+         ({}, {}, ["--seed", "-1"], "seed base must be >= 0, got -1"),
+         ({}, {}, ["--seed", str(2**64)], "invalid seed: base seed must fit in 64 bits")],
+        ids=["s_max=inf", "lags=inf", "eta=1e400", "bound_scale=1e400", "seed=inf", "seed=7.9",
+             "stream=0.5", "fixed_state=1.5", "n_states=inf", "mu=1e400", "flag-seed=-1",
+             "flag-seed=2^64"],
+    )
+    def test_run_non_integer_or_out_of_range_is_config_error(self, tmp_path, capsys, fields,
+                                                             model_fields, flags, message):
+        # json.loads reads Infinity and integer literals past float range.
+        # int() overflows on inf and truncates 7.9 to 7 and 1.5 to regime 1;
+        # float() overflows on a long literal. Each exits 1, not 3.
+        obj = scenario_dict(**{"params": {"s_max": 5}, **fields})
+        obj["model"] = dict(obj["model"], **model_fields)
+        path = write_scenario(tmp_path / "s.json", obj)
+        code = cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out"), *flags])
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config-invalid"
-        assert "at most 6 events" in err["message"]
+        assert message in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_run_integral_floats_are_integers(self, tmp_path):
+        # 7.0 reads as 7 wherever an integer is expected.
+        reports = []
+        for value in (2, 2.0):
+            obj = scenario_dict(params={"s_max": 5 * value}, seed={"base": 3 * value, "stream": 0 * value})
+            obj["model"] = dict(obj["model"], initial={"fixed_state": value})
+            out = tmp_path / f"out-{value!r}"
+            assert cli.main(["run", "--scenario", write_scenario(tmp_path / "s.json", obj),
+                             "--out", str(out)]) == 0
+            reports.append((out / "t1" / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize(
         "experiment,params,flags,message",
