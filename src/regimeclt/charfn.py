@@ -146,9 +146,10 @@ def cf_factorization_gap_from_samples(samples, t_grid) -> CfGapReport:
     of per-batch gap estimates across a fixed split into CF_GAP_BATCHES
     batches of contiguous rows, each of at least two rows (a one-row batch
     has gap 0).
-    Per t, exp(itX) is taken once, exp(it sum X) is the product of its
-    columns, and one add.reduceat per side gives the batch sums, from which
-    the full-sample means follow.
+    Per t, exp(itX) is taken once, as cos and sin of the real phase tX
+    (what complex exp does at a zero real part), exp(it sum X) is the
+    product of its columns, and one add.reduceat per side gives the batch
+    sums, from which the full-sample means follow.
     """
     # C order at entry: the reductions' last bits depend on the layout.
     x = np.ascontiguousarray(samples, dtype=np.float64)
@@ -164,8 +165,12 @@ def cf_factorization_gap_from_samples(samples, t_grid) -> CfGapReport:
 
     gaps = np.empty(t_grid.shape)
     std_errors = np.empty(t_grid.shape)
+    theta = np.empty(x.shape)
+    e_vars = np.empty(x.shape, dtype=np.complex128)
     for j, t in enumerate(t_grid):
-        e_vars = np.exp(1j * t * x)
+        np.multiply(t, x, out=theta)
+        np.cos(theta, out=e_vars.real)
+        np.sin(theta, out=e_vars.imag)
         e_sum = e_vars[:, 0] * e_vars[:, 1]
         for r in range(2, n_vars):
             e_sum *= e_vars[:, r]

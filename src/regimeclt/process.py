@@ -39,10 +39,10 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
 # Default cap on the uniforms one iter_path_chunks chunk draws (80 MB).
 CHUNK_ELEMENTS = 10_000_000
-# iter_path_chunks transforms the observation uniforms in row blocks of about
-# this many elements, so the transform's scratch stays near 2 MiB whatever the
-# (paths, steps) shape.
-_OBS_BLOCK_ELEMENTS = 1 << 18
+# EmissionSpec.ppf_by_state transforms uniforms in row blocks of about this
+# many elements, so the temporaries of a family's quantile (128 KiB each) stay
+# in a core's L2 cache whatever the (paths, steps) shape.
+_OBS_BLOCK_ELEMENTS = 1 << 14
 # Largest next-regime table _walk_table builds: about 2^25 int16 entries,
 # enough for any chain of up to 322 states.
 _WALK_TABLE_BYTES = 1 << 26
@@ -142,6 +142,8 @@ def _ndtr(x):
 
 # cf(t) is each family's characteristic function and cf_bound(s) a bound on
 # |cf(s)| nonincreasing in |s|; every family also has |cf(s)| <= 1 / (|s| sd).
+# quantile(u, *fields) is the family's inverse CDF with its parameters, in
+# field order, broadcast against u; ppf(u) applies it with the component's own.
 
 
 @dataclass(frozen=True)
@@ -170,9 +172,12 @@ class Gaussian:
     def cdf(self, x):
         return _ndtr((np.asarray(x, dtype=np.float64) - self.mu) / self.sigma)
 
+    @staticmethod
+    def quantile(u, mu, sigma):
+        return mu + sigma * _ndtri(np.clip(np.asarray(u, dtype=np.float64), 1e-300, None))
+
     def ppf(self, u):
-        u = np.clip(np.asarray(u, dtype=np.float64), 1e-300, None)
-        return self.mu + self.sigma * _ndtri(u)
+        return self.quantile(u, self.mu, self.sigma)
 
     def abs_third_moment(self, center: float = 0.0) -> float:
         # E|X - center|^3 via the folded-normal third moment.
@@ -234,8 +239,12 @@ class Uniform:
         x = np.asarray(x, dtype=np.float64)
         return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
 
+    @staticmethod
+    def quantile(u, a, b):
+        return a + (b - a) * np.asarray(u, dtype=np.float64)
+
     def ppf(self, u):
-        return self.a + (self.b - self.a) * np.asarray(u, dtype=np.float64)
+        return self.quantile(u, self.a, self.b)
 
     def abs_third_moment(self, center: float = 0.0) -> float:
         a, b, c = self.a, self.b, center
@@ -300,9 +309,12 @@ class ShiftedExponential:
         y = np.asarray(x, dtype=np.float64) - self.shift
         return np.where(y >= 0.0, -np.expm1(-self.rate * np.clip(y, 0.0, None)), 0.0)
 
+    @staticmethod
+    def quantile(u, rate, shift):
+        return shift - np.log1p(-np.asarray(u, dtype=np.float64)) / rate
+
     def ppf(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        return self.shift - np.log1p(-u) / self.rate
+        return self.quantile(u, self.rate, self.shift)
 
     def abs_third_moment(self, center: float = 0.0) -> float:
         # E|Y - d|^3 for Y ~ Exp(rate), d = center - shift, via the partial
@@ -413,14 +425,30 @@ class EmissionSpec:
         return out
 
     def ppf_by_state(self, states0, u) -> NDArray[np.float64]:
-        """Inverse-CDF transform of uniforms u under the 0-based state array."""
+        """Inverse-CDF transform of uniforms u under the 0-based state array.
+
+        states0 and u share one shape of at least one axis, and are taken in
+        blocks of about _OBS_BLOCK_ELEMENTS along the first. In each block every
+        emission family's quantile runs once, on its parameters gathered by
+        state; entries are masked by family only when the model mixes
+        families. Each entry gets its component's ppf operations, bit for bit.
+        """
         states0 = np.asarray(states0)
         u = np.asarray(u, dtype=np.float64)
-        out = np.empty(u.shape, dtype=np.float64)
+        families = list(dict.fromkeys(type(c) for c in self.components))
+        family_of_state = np.array([families.index(type(c)) for c in self.components])
+        # Per family, one row per quantile parameter and one column per state.
+        params = [np.zeros((len(dataclasses.fields(f)), self.n_states)) for f in families]
         for j, comp in enumerate(self.components):
-            mask = states0 == j
-            if np.any(mask):
-                out[mask] = comp.ppf(u[mask])
+            params[family_of_state[j]][:, j] = dataclasses.astuple(comp)
+        out = np.empty(u.shape)
+        block = max(1, _OBS_BLOCK_ELEMENTS // max(1, math.prod(u.shape[1:])))
+        for r0 in range(0, len(u), block):
+            s, ub, ob = states0[r0 : r0 + block], u[r0 : r0 + block], out[r0 : r0 + block]
+            fam = family_of_state[s] if len(families) > 1 else None
+            for f, family in enumerate(families):
+                at = ... if fam is None else fam == f
+                ob[at] = family.quantile(ub[at], *params[f].take(s[at], axis=1))
         return out
 
     def to_json_list(self) -> list[dict]:
@@ -670,13 +698,7 @@ def iter_path_chunks(
         for j, move in enumerate(moves):
             thresholds, table = tables[move]
             s = states[:, j] = table[np.searchsorted(thresholds, u[:, 1 + j], side="right"), s]
-        # Row blocks of about _OBS_BLOCK_ELEMENTS keep the masks, gathers and
-        # temporaries of the transform in cache.
-        obs = np.empty((size, k))
-        block = max(1, _OBS_BLOCK_ELEMENTS // k)
-        for r0 in range(0, size, block):
-            rows = slice(r0, r0 + block)
-            obs[rows] = model.emissions.ppf_by_state(states[rows], u[rows, k + 1 :])
+        obs = model.emissions.ppf_by_state(states, u[:, k + 1 :])
         yield start, states + np.int16(1), obs
         start += size
 

@@ -95,6 +95,10 @@ _FLOAT_PARAMS = {"eta", "alpha_exp"}
 # their sampled-era minimum.
 _MIN_SAMPLES = {("cf_gap", "replicates"): 2 * CF_GAP_BATCHES, ("clt", "replicates"): 2,
                 ("clt", "batches"): 2}
+# Largest s_max, tau_grid entry or lag: the mixing profile steps P once per
+# lag up to the largest, and the mixing experiment writes a row per step.
+MAX_LAG = 10_000
+_LAG_PARAMS = {"s_max", "tau_grid", "lags"}
 
 
 def _normalize_params(experiment: str, params: Mapping) -> dict:
@@ -106,12 +110,14 @@ def _normalize_params(experiment: str, params: Mapping) -> dict:
             raise ConfigInvalid(f"unknown parameter {key!r} for experiment {experiment!r} (known: {known})")
         merged[key] = value
     for key, value in merged.items():
+        maximum = MAX_LAG if key in _LAG_PARAMS else math.inf
         if key in _INT_PARAMS:
-            merged[key] = _as_int(value, f"parameter {key!r}", _MIN_SAMPLES.get((experiment, key), 1))
+            merged[key] = _as_int(value, f"parameter {key!r}", _MIN_SAMPLES.get((experiment, key), 1),
+                                  maximum)
         elif key in _FLOAT_PARAMS:
             merged[key] = _as_float(value, key)
         elif key in _INT_LIST_PARAMS:
-            merged[key] = [_as_int(v, f"parameter {key!r}", 1) for v in _as_list(value, key)]
+            merged[key] = [_as_int(v, f"parameter {key!r}", 1, maximum) for v in _as_list(value, key)]
         elif key in _FLOAT_LIST_PARAMS:
             merged[key] = [_as_float(v, key) for v in _as_list(value, key)]
     if merged.get("eta", 1.0) <= 0.0:
@@ -132,7 +138,7 @@ def _as_list(value, key) -> list:
     return list(value)
 
 
-def _as_int(value, what: str, minimum: int) -> int:
+def _as_int(value, what: str, minimum: int, maximum: float = math.inf) -> int:
     # An integral float passes; int() would truncate 7.9 and overflow on inf.
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
             isinstance(value, float) and not value.is_integer()):
@@ -140,6 +146,8 @@ def _as_int(value, what: str, minimum: int) -> int:
     iv = int(value)
     if iv < minimum:
         raise ConfigInvalid(f"{what} must be >= {minimum}, got {iv}")
+    if iv > maximum:
+        raise ConfigInvalid(f"{what} must be <= {maximum}, got {iv}")
     return iv
 
 

@@ -29,9 +29,17 @@ class SeedSpec:
     stream: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.base) < 2**64:
+        for name in ("base", "stream"):
+            value = getattr(self, name)
+            # An integral float passes as its int; int() would truncate 7.9.
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"seed {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not 0 <= self.base < 2**64:
             raise ValueError("base seed must fit in 64 bits")
-        if int(self.stream) < 0:
+        if self.stream < 0:
             raise ValueError("stream id must be nonnegative")
 
     def block_rng(self, block: int) -> np.random.Generator:
@@ -46,8 +54,8 @@ class SeedSpec:
         return SeedSpec(self.base, self.stream + offset)
 
     def to_json_dict(self) -> dict:
-        return {"base": int(self.base), "stream": int(self.stream)}
+        return {"base": self.base, "stream": self.stream}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SeedSpec":
-        return cls(int(obj["base"]), int(obj.get("stream", 0)))
+        return cls(obj["base"], obj.get("stream", 0))

@@ -157,6 +157,23 @@ class TestCfGapFromSamples:
         np.testing.assert_allclose(rep.gaps, gaps, rtol=1e-12)
         np.testing.assert_allclose(rep.std_errors, std_errors, rtol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e8], ids=["unit", "1e3", "1e8"])
+    @pytest.mark.parametrize("n_vars", [2, 3, 5])
+    def test_real_phase_matches_complex_exp_bit_for_bit(self, n_vars, scale):
+        # exp(itX) from cos and sin of the phase tX is what complex exp gives at
+        # a zero real part. Samples of both signs up to |x| = scale, with exact
+        # zeros of either sign, at t = 0, of either sign, and far out at 1e3.
+        rng = np.random.default_rng(n_vars)
+        x = rng.uniform(-scale, scale, (1_003, n_vars))
+        x[::7, 0] = 0.0
+        x[3::11, -1] = -0.0
+        x[5, :] = [scale, -scale, 0.0, -0.0, 1.0][:n_vars]
+        t_grid = [0.0, -0.5, 0.5, 2.0, 1e3]
+        rep = cf_factorization_gap_from_samples(x, t_grid)
+        gaps, std_errors = oracles.cf_gap_from_samples_cexp(x, t_grid)
+        np.testing.assert_array_equal(rep.gaps, gaps)
+        np.testing.assert_array_equal(rep.std_errors, std_errors)
+
 
 class TestCfGapFromModel:
     def test_iid_model_gap_small(self, iid_model):

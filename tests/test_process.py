@@ -294,10 +294,26 @@ ZERO_ROW_MODELS = [ModelSpec(_ZERO_ROWS, _ZERO_EMISSIONS, initial)
                    for initial in ("stationary", 3, (0.5, 0.0, 0.5))]
 
 
+# Emission families of a model: one family for every regime, or Gaussian and
+# uniform alternating, or all three in turn.
+FAMILY_MIXES = ("gaussian", "uniform", "shifted_exponential", "two", "three")
+
+
+def family_emissions(mix: str, n_states: int) -> EmissionSpec:
+    """n_states components of the families in mix, with parameters that vary by regime."""
+    make = {"gaussian": lambda j: Gaussian(float(j), 1.0 + 0.25 * j),
+            "uniform": lambda j: Uniform(float(j), j + 1.5),
+            "shifted_exponential": lambda j: ShiftedExponential(1.0 + 0.5 * j, -float(j))}
+    cycle = {"two": ("uniform", "gaussian"),
+             "three": ("gaussian", "uniform", "shifted_exponential")}.get(mix, (mix,))
+    return EmissionSpec(tuple(make[cycle[j % len(cycle)]](j) for j in range(n_states)))
+
+
 @st.composite
 def walk_models(draw):
     """Models of 1 to 8 regimes whose rows have exact zeros and repeated
-    cumulative values, under a stationary, fixed or explicit initial law."""
+    cumulative values, under a stationary, fixed or explicit initial law,
+    with emissions of one family or a mix of two or three."""
     n_states = draw(st.integers(1, 8))
     weights = draw(st.lists(st.integers(0, 3), min_size=n_states**2, max_size=n_states**2))
     w = np.array(weights, dtype=np.float64).reshape(n_states, n_states)
@@ -317,9 +333,7 @@ def walk_models(draw):
         initial = tuple(v / v.sum())
     else:
         initial = "stationary"
-    emissions = EmissionSpec(tuple(Gaussian(float(j), 1.0) if j % 2 else Uniform(float(j), j + 1.0)
-                                   for j in range(n_states)))
-    return ModelSpec(chain, emissions, initial)
+    return ModelSpec(chain, family_emissions(draw(st.sampled_from(FAMILY_MIXES)), n_states), initial)
 
 
 class TestSamplePath:
@@ -566,6 +580,35 @@ class TestIterPathChunks:
         np.testing.assert_array_equal(states, expect + 1)
         np.testing.assert_array_equal(obs, oracles._observations(model, expect, u[:, k + 1 :]))
 
+    @pytest.mark.parametrize("block", [1, 2, 7, 64, process._OBS_BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("mix", FAMILY_MIXES)
+    def test_family_quantiles_match_per_component_oracle_at_the_ends(self, mix, block):
+        # Observation uniforms of 0 (which the Gaussian quantile clips to
+        # 1e-300), of 1 - 2^-53 (the largest draw) and their neighbours, among
+        # random ones, under every family mix and row block; the oracle applies
+        # each component's ppf to its regime's entries.
+        model = ModelSpec(TransitionMatrix(np.full((5, 5), 0.2)), family_emissions(mix, 5))
+        size, k = 400, 3
+        rng = np.random.default_rng(block)
+        u = rng.random((size, 2 * k + 1))
+        ends = [0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+        u[:, k + 1 :] = np.where(rng.random((size, k)) < 0.5, rng.choice(ends, (size, k)),
+                                 u[:, k + 1 :])
+
+        class Draws:
+            row = 0
+
+            def random(self, out):
+                out[:] = u[self.row : self.row + len(out)]
+                self.row += len(out)
+
+        with mock.patch.object(process, "_OBS_BLOCK_ELEMENTS", block), \
+                mock.patch.object(SeedSpec, "block_rng", return_value=Draws()):
+            states, obs = self._collect(model, k, size, SeedSpec(1))
+        expect = oracles._observations(model, states - 1, u[:, k + 1 :])
+        np.testing.assert_array_equal(obs, expect)
+        assert np.all(np.isfinite(obs))
+
     @pytest.mark.parametrize("n,n_paths", [(4000, 150), (3, process._OBS_BLOCK_ELEMENTS + 10)],
                              ids=["long-paths", "many-paths"])
     def test_matches_walk_loop_across_obs_blocks(self, n, n_paths):
@@ -601,7 +644,9 @@ class TestIterPathChunks:
         # A dense 200-state chain has about 40,000 distinct cumulative
         # values, so its (buckets, N) next-regime table is the walk's largest
         # buffer. It is built once per call, not per chunk, as int16, and the
-        # traced peak stays within its size plus a few observation blocks.
+        # traced peak stays within its size, plus eight N x N float arrays of
+        # the table build's own scratch (the sorted rows and thresholds, and
+        # each row's bucket counts), plus a few observation blocks.
         p = np.random.default_rng(12).random((200, 200)) + 0.01
         chain = TransitionMatrix(p / p.sum(axis=1, keepdims=True))
         emissions = EmissionSpec(tuple(Gaussian(float(j % 7), 1.0) for j in range(200)))
@@ -620,7 +665,7 @@ class TestIterPathChunks:
                 tracemalloc.stop()
         assert build.call_count == 1
         assert table_bytes > 15_000_000
-        assert peak < table_bytes + 4 * process._OBS_BLOCK_ELEMENTS * 8
+        assert peak < table_bytes + 8 * 200 * 200 * 8 + 4 * process._OBS_BLOCK_ELEMENTS * 8
         expect_states, expect_obs = oracles.path_chunks_loop(model, n, n_paths, seed)
         np.testing.assert_array_equal(states, expect_states)
         np.testing.assert_array_equal(obs, expect_obs)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regimeclt import cli, process
+from regimeclt import cli, process, runner
 from regimeclt.chain import stationary_distribution
 from regimeclt.clt import _exact_distances, long_run_variance_exact
 from regimeclt.errors import BoundViolated, ConfigInvalid
@@ -19,6 +19,7 @@ from regimeclt.independence import (RectEvent, conditional_gap_matrix, default_e
 from regimeclt.runner import (
     BOUND_SLACK,
     EXPERIMENTS,
+    MAX_LAG,
     Scenario,
     _csv_field,
     _csv_text,
@@ -870,6 +871,41 @@ class TestCli:
         assert err["error"] == "config-invalid"
         assert message in err["message"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "experiment,params,message",
+        [("mixing", {"s_max": 10**400}, "'s_max' must be <= 10000"),
+         ("mixing", {"s_max": MAX_LAG + 1}, "'s_max' must be <= 10000, got 10001"),
+         ("independence", {"tau_grid": [1, 10**400]}, "'tau_grid' must be <= 10000"),
+         ("independence", {"lags": [2, 10**400]}, "'lags' must be <= 10000"),
+         ("cf_gap", {"lags": [10**400]}, "'lags' must be <= 10000")],
+        ids=["s_max=1e400", "s_max=max+1", "tau_grid=1e400", "independence-lags=1e400",
+             "cf_gap-lags=1e400"],
+    )
+    def test_run_lag_over_the_cap_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                   experiment, params, message):
+        # The mixing profile steps P once per lag up to the largest, so an
+        # integer literal of 10^400 would run for ever; it exits 1 at load,
+        # before any profile is fitted or any path drawn.
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked before the lags were checked")
+
+        monkeypatch.setattr(runner, "mixing_rate", no_work)
+        monkeypatch.setattr(SeedSpec, "block_rng", no_work)
+        path = write_scenario(tmp_path / "s.json", scenario_dict(experiment=experiment, params=params))
+        code = cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-invalid"
+        assert message in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_lags_at_the_cap_are_accepted(self):
+        for experiment, params in [("mixing", {"s_max": MAX_LAG}),
+                                   ("independence", {"tau_grid": [MAX_LAG], "lags": [MAX_LAG]}),
+                                   ("cf_gap", {"lags": [MAX_LAG, 1]})]:
+            s = Scenario.from_json_dict(scenario_dict(experiment=experiment, params=params))
+            assert all(s.params[key] == value for key, value in params.items())
 
     def test_run_integral_floats_are_integers(self, tmp_path):
         # 7.0 reads as 7 wherever an integer is expected.
