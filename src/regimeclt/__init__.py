@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .chain import (
     ErgodicityReport,
     MixingProfile,
-    StationaryDistribution,
     TransitionMatrix,
     is_ergodic,
     mixing_rate,
@@ -104,7 +103,6 @@ __all__ = [
     "Scenario",
     "SeedSpec",
     "ShiftedExponential",
-    "StationaryDistribution",
     "StepApproximation",
     "TransitionMatrix",
     "Uniform",

@@ -83,7 +83,7 @@ class TransitionMatrix:
         """
         pi = self.__dict__.get("_stationary")
         if pi is None:
-            pi = stationary_distribution(self).pi
+            pi = stationary_distribution(self)
             object.__setattr__(self, "_stationary", pi)
         return pi
 
@@ -103,29 +103,6 @@ class TransitionMatrix:
     @classmethod
     def from_json(cls, text: str) -> "TransitionMatrix":
         return cls.from_json_dict(json.loads(text))
-
-
-@dataclass(frozen=True)
-class StationaryDistribution:
-    """Probability vector pi with pi P = pi for the chain it was computed from."""
-
-    pi: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        pi = np.asarray(self.pi, dtype=np.float64)
-        if pi.ndim != 1 or pi.size < 1:
-            raise ValueError("stationary distribution must be a nonempty vector")
-        if np.any(pi < 0.0):
-            raise ValueError("stationary distribution entries must be nonnegative")
-        if abs(pi.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValueError(f"stationary distribution must sum to 1 within {ROW_SUM_TOL}")
-        pi = pi.copy()
-        pi.setflags(write=False)
-        object.__setattr__(self, "pi", pi)
-
-    @property
-    def n_states(self) -> int:
-        return self.pi.shape[0]
 
 
 @dataclass(frozen=True)
@@ -184,15 +161,16 @@ class MixingProfile:
 # ---------------------------------------------------------------------------
 
 
-def stationary_distribution(chain: TransitionMatrix) -> StationaryDistribution:
-    """Solve pi P = pi, pi >= 0, sum(pi) = 1 by GTH elimination.
+def stationary_distribution(chain: TransitionMatrix) -> NDArray[np.float64]:
+    """Read-only pi with pi P = pi, pi >= 0, sum(pi) = 1, by GTH elimination.
 
     Grassmann, Taksar & Heyman (Operations Research 33, 1985): censor the
     chain onto states 0..k-1 for k = n-1 down to 1, dividing by the censored
     state's off-diagonal row sum instead of 1 - P[k, k], then back-substitute.
     No step subtracts, so every entry of pi keeps its relative accuracy on
     stiff, nearly decomposable chains. The residual max-norm of pi P - pi is
-    still required to be below 1e-10.
+    still required to be below 1e-10. The entries are nonnegative and sum to
+    1 by construction.
 
     Raises
     ------
@@ -217,7 +195,8 @@ def stationary_distribution(chain: TransitionMatrix) -> StationaryDistribution:
     residual = np.max(np.abs(x @ chain.p - x))
     if residual > STATIONARY_RESIDUAL_TOL:
         raise NotErgodic(f"stationary residual {residual:.3e} exceeds {STATIONARY_RESIDUAL_TOL}")
-    return StationaryDistribution(x)
+    x.setflags(write=False)
+    return x
 
 
 def n_step(chain: TransitionMatrix, s: int) -> TransitionMatrix:

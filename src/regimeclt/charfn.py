@@ -5,7 +5,7 @@ stays close to the product of the marginal characteristic functions; with an
 independence certificate epsilon from the rectangle-family machinery the gap
 is tested against 2 epsilon. The sampled gap estimates both sides on the same
 replicate set, which removes most of the shared sampling noise; the exact gap
-is one `exact.transfer` product over the t grid.
+is one `exact.product_gap` over the t grid.
 
 The piecewise-constant approximation built here replaces x -> exp(i t x) by
 a step function on [-M, M] whose cells are narrower than eta / (|t| + 1), so
@@ -197,13 +197,16 @@ def cf_factorization_gap(
     separated by the lags; replicates are independent paths drawn at those
     times only from the block streams of iter_path_chunks, so replicate r is
     the same path for every replicates > r. Fewer than two replicates per
-    batch raise ValueError before anything is drawn.
+    batch raise ValueError, and a (replicates, k) complex phase matrix past
+    exact.MAX_EXACT_BYTES raises ConfigInvalid, before anything is drawn.
     """
     if seed is None:
         raise ValueError("a seed is required")
     lags = exact.validate_lags(lags)
     if replicates < 2 * CF_GAP_BATCHES:
         raise ValueError(f"need two replicates per batch; got {replicates} in {CF_GAP_BATCHES}")
+    exact.require_bytes(replicates * (len(lags) + 1) * 16,
+                        f"cf gap over {replicates} replicates: a complex phase matrix")
     t_idx = np.concatenate([[0], np.cumsum(lags)])
     n = int(t_idx[-1]) + 1
     stationary_model = model.stationary_start()
@@ -216,10 +219,9 @@ def cf_factorization_gap(
 def cf_gap_exact(model: ModelSpec, lags, t_grid) -> NDArray[np.float64]:
     """Exact |E e^{it(X_1 + ... + X_k)} - phi(t)^k| per t at cf_factorization_gap's times.
 
-    With D(t) = diag(phi_j(t)), the sum's cf is pi D P^lag_1 D ... D 1, one
-    `exact.transfer` product over the t grid, and phi(t) = pi D(t) 1.
+    With D(t) = diag(phi_j(t)), the sum's cf is pi D P^lag_1 D ... D 1 and
+    phi(t) = pi D(t) 1: one `exact.product_gap` over the t grid.
     """
     lags = exact.validate_lags(lags)
     d = model.emissions.cf_matrix(np.atleast_1d(np.asarray(t_grid, dtype=np.float64)))
-    joint = exact.transfer(model.stationary(), [d] * (len(lags) + 1), [(model.chain.p, t) for t in lags])
-    return np.abs(joint - (d @ model.stationary()) ** (len(lags) + 1))
+    return exact.product_gap(model.stationary(), model.chain.p, [d] * (len(lags) + 1), lags)

@@ -150,8 +150,10 @@ def remainder_diagnostic(model: ModelSpec, decomposition: BlockDecomposition) ->
     R is the stationary-mixture third absolute moment about its mean. The
     envelope is meaningful when R >= 1 (third-moment domination); for R < 1
     it can undercut the true second moment, which the report makes visible
-    rather than hiding.
+    rather than hiding. Remainder indices past exact.MAX_EXACT_BYTES raise
+    ConfigInvalid before they are built.
     """
+    exact.require_bytes(decomposition.p * 8, f"remainder of n={decomposition.n}: {decomposition.p} indices")
     gamma0, a, q, c = _autocovariance_terms(model)
     gaps = np.diff(decomposition.remainder_indices)
     powers = {g: np.linalg.matrix_power(q, g) for g in set(gaps.tolist())}

@@ -6,6 +6,9 @@ of diagonal weights W_r and step matrices M_r: joint event probabilities
 (W_r event weights, M_r = P^lag), characteristic functions of sums (W_r the
 regime cfs) and the law of S_n behind the exact KS distance. The start is
 any row vector, the stationary law or not, and the step any square matrix.
+`product_gap` subtracts from such a product the product of its marginals
+start W_r 1: the near-independence gap behind every joint-minus-product the
+lab reports.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import numpy as np
 
 from .errors import ConfigInvalid
 
-# Largest array an exact route may build; larger requests raise ConfigInvalid
-# before anything is allocated.
+# Largest array one computation may build; larger requests raise ConfigInvalid
+# before anything is allocated or drawn.
 MAX_EXACT_BYTES = 2**30
 
 
@@ -57,15 +60,18 @@ def transfer(start: np.ndarray, weights: Sequence[np.ndarray], steps: Sequence[t
     return np.einsum("...n,...n->...", v, weights[-1])
 
 
-def joint(start: np.ndarray, p: np.ndarray, weights: Sequence[np.ndarray],
-          lags: Sequence[int]) -> np.ndarray:
-    """Joint probability of every choice of one event per position.
+def product_gap(start: np.ndarray, p: np.ndarray, weights: Sequence[np.ndarray],
+                lags: Sequence[int]) -> np.ndarray:
+    """|start W_0 p^lag_0 W_1 ... W_last 1 - prod_r start W_r 1| over transfer's stacks.
 
-    weights[r] is a (B_r, N) stack of event weights, position r + 1 lags[r]
-    steps of p after position r; the (B_0, ..., B_last) result holds
-    start W_0 p^lag_0 W_1 ... W_last 1 for every choice of one row per stack.
+    weights[r], real or complex, broadcast as in `transfer`; position r + 1
+    sits lags[r] steps of p after position r. The product of the marginals
+    is multiplied in position order, and the gap overwrites the joint.
     """
-    k = len(weights)
-    outer = [w.reshape((1,) * r + (len(w),) + (1,) * (k - 1 - r) + (len(start),))
-             for r, w in enumerate(weights)]
-    return transfer(start, outer, [(p, t) for t in lags])
+    gap = np.asarray(transfer(start, weights, [(p, t) for t in lags]))
+    prod = weights[0] @ start
+    for w in weights[1:]:
+        prod = prod * (w @ start)
+    gap -= prod
+    # In place where the dtype allows: the pool DP's gaps are its largest arrays.
+    return np.abs(gap, out=gap) if np.isrealobj(gap) else np.abs(gap)

@@ -136,7 +136,7 @@ def conditional_gap_matrix(
         raise EmptyConditioningEvent(f"conditioning event {int(p_cond.argmin())} has probability 0")
     # Row 0 conditions on the full space: the unconditional target law.
     cond = np.vstack([np.ones(model.n_states), cond_weights])
-    joint = exact.joint(model.stationary(), model.chain.p, [cond, target_weights], [tau])
+    joint = exact.transfer(model.stationary(), [cond[:, None, :], target_weights], [(model.chain.p, tau)])
     return np.abs(joint[1:] / p_cond[:, None] - joint[0])
 
 
@@ -338,8 +338,8 @@ def epsilon_certificate(
 def _max_tuple_gap(model: ModelSpec, family: Iterable[Sequence[RectEvent]], lags: tuple[int, ...]) -> float:
     """Exact max |joint - product| gap over the event tuples of a family, 0 if empty.
 
-    Chunks of tuples go through `exact.transfer` as stacks, row r of every
-    position from tuple r; each distinct event is weighed once.
+    Chunks of tuples go through `exact.product_gap` as stacks, row r of
+    every position from tuple r; each distinct event is weighed once.
     """
     k = len(lags) + 1
     slot: dict[RectEvent, int] = {}  # distinct events in order of first use
@@ -351,9 +351,8 @@ def _max_tuple_gap(model: ModelSpec, family: Iterable[Sequence[RectEvent]], lags
         idx = np.array([[slot.setdefault(ev, len(slot)) for ev in events] for events in chunk],
                        dtype=np.int64)
         rows.extend(ev.weights(model) for ev in itertools.islice(slot, len(rows), None))
-        w = np.stack(rows)
-        joint = exact.transfer(model.stationary(), list(w[idx.T]), [(model.chain.p, t) for t in lags])
-        best = max(best, float(np.max(np.abs(joint - (w @ model.stationary())[idx].prod(axis=1)))))
+        gaps = exact.product_gap(model.stationary(), model.chain.p, list(np.stack(rows)[idx.T]), lags)
+        best = max(best, float(np.max(gaps)))
     return best
 
 
@@ -363,25 +362,22 @@ def _epsilon_exact_product_family(
     """Exact max gap over all tuples of B events, shared-prefix DP.
 
     w (B, N) holds the weights of a pool's undominated events. Per leading
-    event, `exact.joint` shares every tuple prefix's propagated state vector,
-    so the tuples cost O(B^(k-2)) vectorised steps per leading event instead
-    of B^k independent evaluations, and at most B^(k-2) max(N, B) values
-    are held. If those would pass exact.MAX_EXACT_BYTES, ConfigInvalid is
-    raised with nothing beyond the weights allocated.
+    event, one `exact.product_gap` over the position-r stack on axis r
+    shares every tuple prefix's propagated state vector, so the tuples cost
+    O(B^(k-2)) vectorised steps per leading event instead of B^k independent
+    evaluations, and at most B^(k-2) max(N, B) values are held. If those
+    would pass exact.MAX_EXACT_BYTES, ConfigInvalid is raised with nothing
+    beyond the weights allocated.
     """
     n_base, n_states = w.shape
-    exact.require_bytes(n_base ** (len(lags) - 1) * max(n_states, n_base) * 8,
+    k = len(lags) + 1
+    exact.require_bytes(n_base ** (k - 2) * max(n_states, n_base) * 8,
                         f"exact certificate over {n_base} undominated events and {len(lags)} lags")
-    pi = model.stationary()
-    marg = w @ pi  # (B,)
+    stacks = [w.reshape((1,) * r + (n_base,) + (1,) * (k - 1 - r) + (n_states,)) for r in range(k)]
     best = 0.0
     for b0 in range(n_base):
-        gap = exact.joint(pi, model.chain.p, [w[b0 : b0 + 1]] + [w] * len(lags), lags)
-        prod = marg[b0 : b0 + 1]
-        for _ in lags:
-            prod = np.multiply.outer(prod, marg)
-        gap -= prod
-        best = max(best, float(np.max(np.abs(gap, out=gap))))
+        stacks[0] = w[b0].reshape((1,) * k + (n_states,))
+        best = max(best, float(np.max(exact.product_gap(model.stationary(), model.chain.p, stacks, lags))))
     return best
 
 

@@ -103,8 +103,9 @@ def enumerate_joint_probability(
 
     times are 0-based offsets from the first event (times[0] == 0); weights
     holds, per event, the per-state probability of the event given the
-    state. The walk runs over every state path of length times[-1] + 1, so
-    keep the horizon tiny.
+    state, or any real or complex per-state weight (the sum is multilinear
+    in them). The walk runs over every state path of length times[-1] + 1,
+    so keep the horizon tiny.
     """
     n_states = len(pi)
     horizon = times[-1] + 1
@@ -121,9 +122,8 @@ def enumerate_joint_probability(
             total += prob
             return
         for nxt in range(n_states):
-            step = prob * p[state, nxt]
-            if step > 0.0:
-                recurse(t + 1, nxt, step)
+            if p[state, nxt] > 0.0:
+                recurse(t + 1, nxt, prob * p[state, nxt])
 
     for s0 in range(n_states):
         if pi[s0] > 0.0:

@@ -48,18 +48,19 @@ class TestTransitionMatrix:
 
 class TestStationary:
     def test_benchmark_closed_form(self, bench_chain):
-        pi = stationary_distribution(bench_chain).pi
+        pi = stationary_distribution(bench_chain)
         np.testing.assert_allclose(pi, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+        assert pi.shape == (2,) and not pi.flags.writeable
 
     def test_matches_power_iteration_on_pool(self):
         for rows in random_chain_pool(30, seed=101):
-            pi = stationary_distribution(TransitionMatrix(rows)).pi
+            pi = stationary_distribution(TransitionMatrix(rows))
             ref = oracles.stationary_power_iteration(rows)
             np.testing.assert_allclose(pi, ref, atol=1e-9)
 
     def test_fixed_point_residual(self):
         for rows in random_chain_pool(30, seed=202):
-            pi = stationary_distribution(TransitionMatrix(rows)).pi
+            pi = stationary_distribution(TransitionMatrix(rows))
             assert np.max(np.abs(pi @ rows - pi)) < 1e-10
             assert abs(pi.sum() - 1.0) < 1e-12
 
@@ -74,7 +75,7 @@ class TestStationary:
     def test_stiff_chain_matches_exact_oracle(self, rows):
         # Nearly decomposable chains: every entry of pi, down to the 1e-12
         # ones, to a relative 1e-14.
-        pi = stationary_distribution(TransitionMatrix(np.array(rows))).pi
+        pi = stationary_distribution(TransitionMatrix(np.array(rows)))
         np.testing.assert_allclose(pi, oracles.stationary_exact(rows), rtol=1e-14, atol=0.0)
 
     def test_periodic_chain_rejected(self):
@@ -146,7 +147,7 @@ class TestMixingRate:
 
     def test_gap_values_match_brute_force(self, bench_chain):
         prof = mixing_rate(bench_chain, s_max=20)
-        pi = stationary_distribution(bench_chain).pi
+        pi = stationary_distribution(bench_chain)
         for s, gap in prof.gaps:
             assert gap == pytest.approx(oracles.sup_gap_brute(bench_chain.p, pi, s), abs=1e-14)
 

@@ -183,9 +183,18 @@ _STACKS = (
 )
 
 
+def _outer_stacks(weights, n_states):
+    """Position r's (B_r, N) stack on axis r: every choice of one row per position."""
+    k = len(weights)
+    return [w.reshape((1,) * r + (len(w),) + (1,) * (k - 1 - r) + (n_states,))
+            for r, w in enumerate(weights)]
+
+
 class TestJointCore:
-    # The core takes any start vector: a Dirichlet draw away from pi checks
-    # that, and its cases add "-dirichlet" to the stationary cases' ids.
+    # exact.transfer over outer stacks gives the joint probability of every
+    # choice of one event per position. The core takes any start vector: a
+    # Dirichlet draw away from pi checks that, and its cases add "-dirichlet"
+    # to the stationary cases' ids.
     @pytest.mark.parametrize("sizes,lags,start", [
         pytest.param(sizes, lags, start, id=f"sizes{i}-lags{i}" + "-dirichlet" * (start == "dirichlet"))
         for start in ("stationary", "dirichlet") for i, (sizes, lags) in enumerate(_STACKS)
@@ -201,7 +210,8 @@ class TestJointCore:
         else:
             v = rng.dirichlet(np.ones(model.n_states))
             assert np.max(np.abs(v - model.stationary())) > 1e-3
-        joint = exact.joint(v, model.chain.p, weights, lags)
+        joint = exact.transfer(v, _outer_stacks(weights, model.n_states),
+                               [(model.chain.p, t) for t in lags])
         assert joint.shape == sizes
         times = [0, *np.cumsum(lags).tolist()]
         for idx in itertools.product(*(range(b) for b in sizes)):
@@ -209,6 +219,34 @@ class TestJointCore:
                 v, model.chain.p, times, [w[i] for w, i in zip(weights, idx)]
             )
             assert abs(joint[idx] - expected) <= 1e-14
+
+    @pytest.mark.parametrize("layout", ["paired", "outer"])
+    @pytest.mark.parametrize("dtype", ["real", "complex"])
+    @pytest.mark.parametrize("start", ["stationary", "dirichlet"])
+    def test_product_gap_matches_enumeration(self, layout, dtype, start):
+        # |joint - product of marginals| for every row of paired (B, N)
+        # stacks, or every choice of one row per position for outer stacks.
+        rows = random_chain_pool(3, seed=1117, n_min=2, n_max=4)[2]
+        model = _gaussian_model(rows)
+        rng = np.random.default_rng(47)
+        sizes, lags = ((3,) * 4 if layout == "paired" else (3, 1, 2, 2)), (2, 1, 3)
+        weights = [rng.uniform(size=(b, model.n_states)) for b in sizes]
+        if dtype == "complex":
+            weights = [w + 1j * rng.uniform(-1.0, 1.0, size=w.shape) for w in weights]
+        v = model.stationary() if start == "stationary" else rng.dirichlet(np.ones(model.n_states))
+        if layout == "paired":  # result index (i,): row i at every position
+            stacks, choices = weights, {(i,): (i,) * 4 for i in range(3)}
+        else:
+            stacks = _outer_stacks(weights, model.n_states)
+            choices = {idx: idx for idx in itertools.product(*(range(b) for b in sizes))}
+        gaps = exact.product_gap(v, model.chain.p, stacks, lags)
+        assert gaps.dtype == np.float64 and gaps.size == len(choices)
+        times = [0, *np.cumsum(lags).tolist()]
+        for key, idx in choices.items():
+            picked = [w[i] for w, i in zip(weights, idx)]
+            joint = oracles.enumerate_joint_probability(v, model.chain.p, times, picked)
+            expected = abs(joint - np.prod([v @ w for w in picked]))
+            assert abs(gaps[key] - expected) <= 1e-14
 
     def test_validate_lags_refuses_fractional_lags(self):
         assert exact.validate_lags([1, 2.0, np.int64(3), np.float64(4.0)]) == (1, 2, 3, 4)
@@ -577,7 +615,7 @@ class TestEpsilonCertificate:
         pi = model.stationary()
 
         def tuple_gap(events):
-            joint = exact.joint(pi, model.chain.p, [rows[ev][None, :] for ev in events], (1, 3)).sum()
+            joint = exact.transfer(pi, [rows[ev] for ev in events], [(model.chain.p, t) for t in (1, 3)])
             return abs(joint - np.prod([pi @ rows[ev] for ev in events]))
 
         per_tuple = max(tuple_gap(events) for events in family)

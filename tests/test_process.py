@@ -640,6 +640,26 @@ class TestIterPathChunks:
         arrays = n_paths * (2 * n + 1) * 8 + 2 * states.nbytes + obs.nbytes
         assert peak - arrays < 4 * process._OBS_BLOCK_ELEMENTS * 8
 
+    def test_transform_scratch_stays_within_a_few_row_blocks(self):
+        # The observation transform alone, on the same 300 x 16,000 mixed
+        # model, holds beyond its output a few row blocks of scratch (the
+        # family masks, the gathered parameters, the quantile temporaries),
+        # not one temporary of the chunk's size: even a boolean one is 4.8 MB.
+        emissions = EmissionSpec((Gaussian(-1.0, 1.0), Uniform(0.0, 2.0), Gaussian(3.0, 0.5)))
+        n, n_paths = 16_000, 300
+        rng = np.random.default_rng(3)
+        states0 = rng.integers(0, 3, size=(n_paths, n)).astype(np.int16)
+        u = rng.random((n_paths, n))
+        block = max(1, process._OBS_BLOCK_ELEMENTS // n) * n
+        tracemalloc.start()
+        try:
+            obs = emissions.ppf_by_state(states0, u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert obs.shape == (n_paths, n)
+        assert peak - obs.nbytes < 12 * block * 8 < n_paths * n
+
     def test_dense_chain_table_built_once_within_its_bytes(self):
         # A dense 200-state chain has about 40,000 distinct cumulative
         # values, so its (buckets, N) next-regime table is the walk's largest

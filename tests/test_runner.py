@@ -371,9 +371,9 @@ class TestRunScenario:
 
     def test_independence_weights_once_per_event(self, tmp_path, monkeypatch):
         # Event weights are computed once per family event for the gap
-        # matrix, once per family event again for the certificate, and k
-        # times per target for the joint rows; never once per (tau, target,
-        # condition) triple.
+        # matrix and the joint rows, and once per pool event for the
+        # certificate; never per target or per (tau, target, condition)
+        # triple.
         calls = []
         original = RectEvent.weights
 
@@ -386,10 +386,10 @@ class TestRunScenario:
         s = Scenario.from_json_dict(scenario_dict(experiment="independence", params=params))
         result = run_scenario(s, tmp_path)
         assert result.status == 0
-        n_family, n_targets, k = 2 * 4 + 1, 2 * 4, 3
+        n_family, n_targets = 2 * 4 + 1, 2 * 4
         triples = result.report["results"]["n_conditional_rows"]
         assert triples == 5 * n_targets * n_family
-        assert len(calls) <= 2 * n_family + k * n_targets < triples
+        assert len(calls) <= 2 * n_family < triples
 
     @pytest.mark.parametrize("emissions", [
         BENCH_MODEL_JSON["emissions"],
@@ -728,6 +728,30 @@ class TestVerifyAll:
         faults = verify_all(SCENARIOS / "faults", tmp_path / "faults")
         assert faults.exit_code == 2, faults.entries
 
+    def test_no_shipped_row_carries_both_std_error_and_bound(self, tmp_path):
+        # A bound gates exact values only: a sampled row reports its standard
+        # error and no bound, in every shipped scenario and benchmark workload.
+        sys.path.insert(0, str(SCENARIOS.parent / "bench"))
+        try:
+            import workloads
+        finally:
+            sys.path.remove(str(SCENARIOS.parent / "bench"))
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        for path in [*SCENARIOS.glob("*.json"), *SCENARIOS.glob("faults/*.json")]:
+            (suite / f"{path.parent.name}-{path.name}").write_bytes(path.read_bytes())
+        for name, make in workloads.WORKLOADS.items():
+            write_scenario(suite / f"workload-{name}.json", make(workloads.DEFAULT_SEEDS[name]))
+        summary = verify_all(suite, tmp_path / "out")
+        assert len(summary.entries) == 9 and max(e["status"] for e in summary.entries) == 2
+        sections = set()
+        for entry in summary.entries:
+            with (tmp_path / "out" / entry["name"] / "tables.csv").open(newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            sections.update(row["section"] for row in rows if row["std_error"])
+            assert not [row for row in rows if row["std_error"] and row["bound"]], entry["file"]
+        assert "cf_gap" in sections
+
     def test_does_not_recurse(self, tmp_path):
         suite = tmp_path / "suite"
         (suite / "sub").mkdir(parents=True)
@@ -955,6 +979,27 @@ class TestCli:
         assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 0
         report = json.loads((tmp_path / "out" / "t1" / "report.json").read_text())
         assert "NaN" not in json.dumps(report)
+
+    @pytest.mark.parametrize(
+        "experiment,params,message",
+        [("cf_gap", {"replicates": 10**15}, "complex phase matrix needs 48000000000000000 bytes"),
+         ("clt", {"n_grid": [10**15]}, "remainder of n=1000000000000000")],
+        ids=["cf_gap-replicates=1e15", "clt-n_grid=1e15"],
+    )
+    def test_run_oversized_config_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                  experiment, params, message):
+        # An array past the 2^30-byte cap is refused with exit 1 before it is
+        # allocated or anything is drawn, not an internal error (exit 3).
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the sizes were checked")
+
+        monkeypatch.setattr(SeedSpec, "block_rng", no_sampling)
+        path = write_scenario(tmp_path / "s.json", scenario_dict(experiment=experiment, params=params))
+        code = cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-invalid"
+        assert message in err["message"] and "byte cap" in err["message"]
 
     def test_run_bound_violation(self, tmp_path, capsys):
         path = write_scenario(
