@@ -52,7 +52,6 @@ from .independence import (
     GapReport,
     RectEvent,
     chained_gap_bound,
-    conditional_gap_exact,
     default_event_family,
     epsilon_certificate,
     joint_product_gap,
@@ -114,7 +113,6 @@ __all__ = [
     "chained_gap_bound",
     "clt_convergence",
     "conditional_density",
-    "conditional_gap_exact",
     "decompose",
     "default_event_family",
     "epsilon_certificate",

@@ -44,7 +44,7 @@ class StepApproximation:
     endpoint; each cell takes the value of exp(itx) at its midpoint, and
     outside the interval the function is 0. The error on the interval is
     |1 - exp(i t w / 2)| = 2 sin(min(|t| w / 4, pi / 2)), reached at the
-    cell ends. Breakpoints are derived on demand.
+    cell ends.
     """
 
     t: float
@@ -65,17 +65,6 @@ class StepApproximation:
     @property
     def sup_error(self) -> float:
         return 2.0 * math.sin(min(abs(self.t) * self.width / 4.0, math.pi / 2.0))
-
-    @property
-    def breakpoints(self) -> NDArray[np.float64]:
-        return np.linspace(-self.radius, self.radius, self.n_cells + 1)
-
-    def __call__(self, x) -> NDArray[np.complex128]:
-        x = np.asarray(x, dtype=np.float64)
-        cells = np.clip(np.ceil((x + self.radius) / self.width) - 1, 0, self.n_cells - 1)
-        mids = (cells + 0.5) * self.width - self.radius
-        inside = (x >= -self.radius) & (x <= self.radius)
-        return np.where(inside, np.exp(1j * self.t * mids), 0.0 + 0.0j)
 
 
 def build_step_approximation(t: float, eta: float, radius: float) -> StepApproximation:

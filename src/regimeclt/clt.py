@@ -42,9 +42,9 @@ BLOCK_EXPONENT_MAX = 0.25
 class BlockDecomposition:
     """Partition of 1..n into nu = n // k blocks of k - m indices plus a remainder.
 
-    block_ranges holds 1-based inclusive intervals ((i-1)k + 1, ik - m);
-    remainder_indices holds the m trailing indices of every block window and
-    the final n - k nu indices. Both are derived from (n, k, m, nu).
+    block_ranges holds 1-based inclusive intervals ((i-1)k + 1, ik - m); the
+    remainder is the m trailing indices of every block window and the final
+    n - k nu indices. Both are derived from (n, k, m, nu).
     """
 
     n: int
@@ -69,18 +69,9 @@ class BlockDecomposition:
         return self.k - self.m
 
     @property
-    def _ends(self) -> NDArray[np.int64]:
-        return np.arange(1, self.nu + 1, dtype=np.int64) * self.k  # last index of each window
-
-    @property
     def block_ranges(self) -> tuple[tuple[int, int], ...]:
-        ends = self._ends
+        ends = np.arange(1, self.nu + 1, dtype=np.int64) * self.k  # last index of each window
         return tuple(zip((ends - self.k + 1).tolist(), (ends - self.m).tolist()))
-
-    @property
-    def remainder_indices(self) -> NDArray[np.int64]:
-        return np.concatenate([(self._ends[:, None] + np.arange(1 - self.m, 1)).ravel(),
-                               np.arange(self.nu * self.k + 1, self.n + 1)])
 
 
 def _guarded_power_floor(n: int, exponent: float) -> int:
@@ -144,25 +135,39 @@ def remainder_diagnostic(model: ModelSpec, decomposition: BlockDecomposition) ->
 
     E[Z^2] = p gamma(0) + 2 sum_{i<j in R} gamma(j - i) over the remainder
     indices R. Walking R in order, w_j = sum_{i<j} a Q^(r_j - r_i) obeys
-    w_{j+1} = (w_j + a) Q^(r_{j+1} - r_j), so the pair sum is sum_j w_j c with
-    one matrix power per distinct gap (the gaps are 1 and k - m + 1).
+    w_{j+1} = (w_j + a) Q^(r_{j+1} - r_j), and the pair sum is sum_j w_j c.
+    A step over a gap g is the affine map S(g) on the row (w, 1, cross):
+    [[G, 0, G c], [a G, 1, a G c], [0, 0, 1]] with G = Q^g. The gaps repeat
+    with period m, m - 1 ones and then k - m + 1, and the last window is
+    followed by n - nu k ones, so the pair sum is the last entry of
+    (0, 1, 0) S(1)^(m-1) (S(k-m+1) S(1)^(m-1))^(nu-1) S(1)^(n - nu k):
+    O(log n) matrix products, and no index is built.
 
     R is the stationary-mixture third absolute moment about its mean. The
     envelope is meaningful when R >= 1 (third-moment domination); for R < 1
     it can undercut the true second moment, which the report makes visible
-    rather than hiding. Remainder indices past exact.MAX_EXACT_BYTES raise
-    ConfigInvalid before they are built.
+    rather than hiding.
     """
-    exact.require_bytes(decomposition.p * 8, f"remainder of n={decomposition.n}: {decomposition.p} indices")
     gamma0, a, q, c = _autocovariance_terms(model)
-    gaps = np.diff(decomposition.remainder_indices)
-    powers = {g: np.linalg.matrix_power(q, g) for g in set(gaps.tolist())}
-    w = np.zeros_like(a)
-    cross = 0.0
-    for g in gaps.tolist():
-        w = (w + a) @ powers[g]
-        cross += float(w @ c)
-    n, p = decomposition.n, decomposition.p
+    n_states = len(c)
+    n, k, m, nu = decomposition.n, decomposition.k, decomposition.m, decomposition.nu
+
+    power = np.linalg.matrix_power
+
+    def step(g: int) -> NDArray[np.float64]:
+        s = np.eye(n_states + 2)
+        s[:n_states, :n_states] = power(q, g)
+        s[n_states, :n_states] = a @ s[:n_states, :n_states]
+        s[: n_states + 1, -1] = s[: n_states + 1, :n_states] @ c
+        return s
+
+    unit = step(1)
+    window = power(unit, m - 1)
+    row = np.zeros(n_states + 2)
+    row[n_states] = 1.0
+    row = row @ window @ power(step(k - m + 1) @ window, nu - 1) @ power(unit, n - nu * k)
+    cross = float(row[-1])
+    p = decomposition.p
     r_moment = mixture_abs_third_moment(model)
     return RemainderReport(
         n=n,

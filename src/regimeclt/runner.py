@@ -98,7 +98,11 @@ _MIN_SAMPLES = {("cf_gap", "replicates"): 2 * CF_GAP_BATCHES, ("clt", "replicate
 # Largest s_max, tau_grid entry or lag: the mixing profile steps P once per
 # lag up to the largest, and the mixing experiment writes a row per step.
 MAX_LAG = 10_000
-_LAG_PARAMS = {"s_max", "tau_grid", "lags"}
+# Largest clt n_grid entry: the exact cf of S_n is a product of n matrices,
+# whose round-off grows like n eps. KS sqrt(n) stays flat up to n = 10^9 on
+# the two- and three-state benchmark models and is round-off by 10^11.
+MAX_CLT_N = 10**9
+_MAXIMA = {"s_max": MAX_LAG, "tau_grid": MAX_LAG, "lags": MAX_LAG, "n_grid": MAX_CLT_N}
 
 
 def _normalize_params(experiment: str, params: Mapping) -> dict:
@@ -110,7 +114,7 @@ def _normalize_params(experiment: str, params: Mapping) -> dict:
             raise ConfigInvalid(f"unknown parameter {key!r} for experiment {experiment!r} (known: {known})")
         merged[key] = value
     for key, value in merged.items():
-        maximum = MAX_LAG if key in _LAG_PARAMS else math.inf
+        maximum = _MAXIMA.get(key, math.inf)
         if key in _INT_PARAMS:
             merged[key] = _as_int(value, f"parameter {key!r}", _MIN_SAMPLES.get((experiment, key), 1),
                                   maximum)

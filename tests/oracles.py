@@ -245,6 +245,26 @@ def event_chunks_loop(model, times, n_paths: int, seed) -> tuple[np.ndarray, np.
 # ---------------------------------------------------------------------------
 
 
+def step_breakpoints(approx) -> np.ndarray:
+    """Cell ends -radius = b_0 < ... < b_n_cells = radius of a StepApproximation."""
+    return np.linspace(-approx.radius, approx.radius, approx.n_cells + 1)
+
+
+def step_function(approx, x) -> np.ndarray:
+    """A StepApproximation evaluated at x.
+
+    Cell j is (b_j, b_{j+1}], the first closed on the left, and takes
+    exp(i t m_j) at its midpoint m_j; outside [-radius, radius] the value is 0.
+    Cells are found by arithmetic, so any cell count is evaluated in memory
+    linear in x.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    cells = np.clip(np.ceil((x + approx.radius) / approx.width) - 1, 0, approx.n_cells - 1)
+    mids = (cells + 0.5) * approx.width - approx.radius
+    inside = (x >= -approx.radius) & (x <= approx.radius)
+    return np.where(inside, np.exp(1j * approx.t * mids), 0.0 + 0.0j)
+
+
 def cf_gap_batches_loop(samples, t_grid, n_batches: int = 20) -> tuple[np.ndarray, np.ndarray]:
     """Gap |ecf(sum) - prod ecf(X_r)| and its batch standard error per t.
 
@@ -405,10 +425,38 @@ def block_sums(values, decomposition) -> tuple[np.ndarray, float]:
     return block, remainder
 
 
+def remainder_indices(decomposition) -> np.ndarray:
+    """The remainder's 1-based indices: the last m of every window, then those past nu k."""
+    d = decomposition
+    ends = np.arange(1, d.nu + 1, dtype=np.int64) * d.k
+    return np.concatenate([(ends[:, None] + np.arange(1 - d.m, 1)).ravel(),
+                           np.arange(d.nu * d.k + 1, d.n + 1)])
 
-def remainder_second_moment_pairs(model, remainder_indices, n: int) -> float:
-    """(1/n) sum_{i,j in R} gamma(|i - j|) over every ordered pair."""
-    idx = np.asarray(remainder_indices)
+
+def remainder_second_moment_walk(model, decomposition) -> float:
+    """E[(Z/sqrt(n))^2] of the remainder Z by walking its indices one at a time.
+
+    With a = pi * c and Q = P - 1 pi, w_{j+1} = (w_j + a) Q^(r_{j+1} - r_j)
+    is the sum of a Q^(r_{j+1} - r_i) over i <= j, and the pair sum
+    sum_{i<j} gamma(r_j - r_i) is sum_j w_j c.
+    """
+    pi = model.stationary()
+    means = model.emissions.means()
+    c = means - float(pi @ means)
+    a, q = pi * c, model.chain.p - pi[None, :]
+    gaps = np.diff(remainder_indices(decomposition))
+    powers = {g: np.linalg.matrix_power(q, g) for g in set(gaps.tolist())}
+    w = np.zeros_like(a)
+    cross = 0.0
+    for g in gaps.tolist():
+        w = (w + a) @ powers[g]
+        cross += float(w @ c)
+    return (decomposition.p * mixture_variance(model) + 2.0 * cross) / decomposition.n
+
+
+def remainder_second_moment_pairs(model, indices, n: int) -> float:
+    """(1/n) sum_{i,j in R} gamma(|i - j|) over every ordered pair of indices R."""
+    idx = np.asarray(indices)
     gammas = autocovariances(model, n)
     return float(gammas[np.abs(idx[:, None] - idx[None, :])].sum()) / n
 
@@ -448,7 +496,7 @@ def remainder_diagnostic_mc(model, decomposition, replicates: int = 400, seed=No
     n = decomposition.n
     mu = mixture_mean(model)
     mask = np.zeros(n, dtype=bool)
-    mask[decomposition.remainder_indices - 1] = True
+    mask[remainder_indices(decomposition) - 1] = True
     stationary_model = model.stationary_start()
     vals = np.empty(replicates)
     p = decomposition.p
@@ -524,24 +572,35 @@ def lindeberg_mc(
     )
 
 
-def joint_product_gap_mc_loop(model, events, lags, replicates: int, seed) -> tuple[float, float]:
-    """Monte Carlo |joint - product| gap and its standard error, one tuple.
+def rect_indicator(event, states: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """Elementwise indicator of a RectEvent: 1-based regime in its set, value in (lo, hi]."""
+    return np.isin(states, list(event.state_set)) & (obs > event.lo) & (obs <= event.hi)
 
-    Hit counts come from the stationary event-time paths of
-    event_chunks_loop; the error adds the joint rate's binomial variance to
-    the delta-method variance of the product, one marginal at a time.
+
+def tuple_gaps_mc(model, family, lags, replicates: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo |joint - product| gap and its standard error, per event tuple.
+
+    Every tuple is scored on one set of stationary replicates, drawn by the
+    production sampler at the event times (iter_path_chunks(times=...)). The
+    error adds the joint rate's binomial variance to the delta-method
+    variance of the product of the marginal rates.
     """
-    t_idx = np.concatenate([[0], np.cumsum(lags)])
-    states, obs = event_chunks_loop(model.stationary_start(), t_idx, replicates, seed)
-    ind = np.stack([ev.indicator(states[:, r], obs[:, r]) for r, ev in enumerate(events)], axis=1)
-    joint = int(ind.all(axis=1).sum()) / replicates
-    margs = ind.sum(axis=0) / replicates
-    product = float(np.prod(margs))
-    var = joint * (1.0 - joint) / replicates
-    for m in margs:
-        partial = product / m if m > 0 else 0.0
-        var += partial * partial * m * (1.0 - m) / replicates
-    return abs(joint - product), math.sqrt(var)
+    times = np.concatenate([[0], np.cumsum(lags)])
+    joint_hits = np.zeros(len(family), dtype=np.int64)
+    marg_hits = np.zeros((len(family), len(times)), dtype=np.int64)
+    for _start, states, obs in iter_path_chunks(model.stationary_start(), int(times[-1]) + 1, replicates,
+                                                seed, times=times):
+        for i, events in enumerate(family):
+            ind = np.stack([rect_indicator(ev, states[:, r], obs[:, r])
+                            for r, ev in enumerate(events)], axis=1)
+            joint_hits[i] += ind.all(axis=1).sum()
+            marg_hits[i] += ind.sum(axis=0)
+    joint, margs = joint_hits / replicates, marg_hits / replicates
+    product = margs.prod(axis=1)
+    # d product / d m_r = product / m_r; a rate of 0 adds no error.
+    partial = np.divide(product[:, None], margs, out=np.zeros_like(margs), where=margs > 0.0)
+    variance = joint * (1.0 - joint) + (partial * partial * margs * (1.0 - margs)).sum(axis=1)
+    return np.abs(joint - product), np.sqrt(variance / replicates)
 
 
 def ks_distance_sorted(values: np.ndarray, cdf) -> float:

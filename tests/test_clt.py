@@ -53,13 +53,13 @@ class TestDecompose:
         assert d.block_ranges[0] == (1, 3)
         assert d.block_ranges[1] == (6, 8)
         assert d.block_ranges[-1] == (996, 998)
-        np.testing.assert_array_equal(d.remainder_indices[:4], [4, 5, 9, 10])
+        np.testing.assert_array_equal(oracles.remainder_indices(d)[:4], [4, 5, 9, 10])
 
     def test_handmade_small_case(self):
         d = decompose(100, 0.25, 1)
         assert (d.k, d.nu, d.block_length) == (3, 33, 2)
         assert d.p == 33 + 1  # one trailing index beyond the last window
-        assert d.remainder_indices[-1] == 100
+        assert oracles.remainder_indices(d)[-1] == 100
 
     @pytest.mark.parametrize("n,expected_k", [(4096, 8), (81, 3), (16, 2), (10_000, 10)])
     def test_power_floor_snaps_exact_roots(self, n, expected_k):
@@ -86,11 +86,12 @@ class TestDecompose:
         np.add.at(steps, hi + 1, -1)
         covers = np.cumsum(steps)[: n + 1]
         assert covers.max() <= 1
-        assert not covers[d.remainder_indices].any()
+        remainder = oracles.remainder_indices(d)
+        assert not covers[remainder].any()
         seen = covers > 0
-        seen[d.remainder_indices] = True
+        seen[remainder] = True
         assert seen[1:].all()
-        assert d.p == d.m * d.nu + (d.n - d.k * d.nu)
+        assert d.p == d.m * d.nu + (d.n - d.k * d.nu) == len(remainder)
 
     @pytest.mark.parametrize("n", [16, 20, 97, 100, 1000, 4096, 10_007, 65_536])
     @pytest.mark.parametrize("alpha_exp", [0.08, 0.125, 0.2, 0.25])
@@ -101,8 +102,9 @@ class TestDecompose:
             ranges, remainder = oracles.block_partition_loop(n, d.k, m)
             assert d.k == k and d.block_ranges == ranges
             assert all(type(v) is int for pair in d.block_ranges for v in pair)
-            assert d.remainder_indices.dtype == np.int64
-            np.testing.assert_array_equal(d.remainder_indices, remainder)
+            assert oracles.remainder_indices(d).dtype == np.int64
+            np.testing.assert_array_equal(oracles.remainder_indices(d), remainder)
+            assert d.p == len(remainder)
 
     def test_argument_errors(self):
         with pytest.raises(ValueError):
@@ -221,9 +223,32 @@ class TestRemainderDiagnostic:
         comps = tuple(Gaussian(1.3 * j - size / 2.0, 0.4 + 0.2 * j) for j in range(size))
         model = ModelSpec(TransitionMatrix(rows), EmissionSpec(comps))
         d = decompose(n, alpha_exp, m)
-        expected = oracles.remainder_second_moment_pairs(model, d.remainder_indices, n)
+        expected = oracles.remainder_second_moment_pairs(model, oracles.remainder_indices(d), n)
         got = remainder_diagnostic(model, d).second_moment
         assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n,m", [(16, 1), (100, 2), (1_601, 3), (16_000, 2), (1_000_003, 4)])
+    def test_closed_form_matches_the_walk(self, bench_model, workload_model, n, m):
+        # The affine-map power against the index-by-index walk it replaced.
+        d = decompose(n, 0.25, m)
+        for model in (bench_model, workload_model):
+            expected = oracles.remainder_second_moment_walk(model, d)
+            assert remainder_diagnostic(model, d).second_moment == pytest.approx(expected, rel=1e-12)
+
+    def test_builds_no_index_array(self, workload_model):
+        # At n = 10^9 the remainder has 1.1e7 indices (89 MB as int64); the
+        # closed form holds a few (N + 2)-square matrices.
+        d = decompose(10**9, 0.25, 2)
+        assert d.p > 10**7
+        tracemalloc.start()
+        try:
+            rep = remainder_diagnostic(workload_model, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        smaller = remainder_diagnostic(workload_model, decompose(10**6, 0.25, 2))
+        assert 0.0 < rep.second_moment < smaller.second_moment
 
     def test_monte_carlo_oracle_agrees_on_slow_chain(self):
         # The three-state chain of the long-paths benchmark (second eigenvalue

@@ -18,7 +18,6 @@ from regimeclt.errors import ConfigInvalid, EmptyConditioningEvent
 from regimeclt.independence import (
     RectEvent,
     chained_gap_bound,
-    conditional_gap_exact,
     conditional_gap_matrix,
     default_event_family,
     epsilon_certificate,
@@ -57,6 +56,12 @@ def _mixed_model(rows: np.ndarray, kinds: Sequence[str]) -> ModelSpec:
     return ModelSpec(TransitionMatrix(rows), EmissionSpec(tuple(comps)))
 
 
+def _conditional_gap(model: ModelSpec, target: RectEvent, cond: RectEvent, tau: int) -> float:
+    """One exact conditional gap |P(target at tau | cond at 0) - P(target)|."""
+    gaps = conditional_gap_matrix(model, target.weights(model)[None, :], cond.weights(model)[None, :], tau)
+    return float(gaps[0, 0])
+
+
 def _three_family_model() -> ModelSpec:
     rows = np.array([[0.93, 0.05, 0.02], [0.04, 0.93, 0.03], [0.03, 0.04, 0.93]])
     comps = (Gaussian(-1.5, 1.0), Uniform(-0.5, 1.5), ShiftedExponential(1.0, 1.0))
@@ -73,11 +78,12 @@ class TestRectEvent:
             RectEvent(frozenset({1}), 2.0, 2.0)
 
     def test_indicator_half_open(self):
+        # The sampled oracle's indicator reads the interval as the weights do.
         ev = RectEvent(frozenset({1}), 0.0, 1.0)
         states = np.array([1, 1, 1, 2])
         obs = np.array([0.0, 0.5, 1.0, 0.5])
         np.testing.assert_array_equal(
-            ev.indicator(states, obs), [False, True, True, False]
+            oracles.rect_indicator(ev, states, obs), [False, True, True, False]
         )
 
     def test_weights(self, uniform_model):
@@ -102,11 +108,8 @@ class TestConditionalGap:
                 pi, bench_model.chain.p, [0, tau], [w_b, w_a]
             )
             expected = abs(joint / float(pi @ w_b) - float(pi @ w_a))
-            rep = conditional_gap_exact(
-                bench_model, target, RectEvent(frozenset({1, 2}), -0.5, 1.2), tau
-            )
-            assert rep.gap_estimate == pytest.approx(expected, abs=1e-12)
-            assert rep.std_error == 0.0 and rep.method == "exact"
+            gap = _conditional_gap(bench_model, target, RectEvent(frozenset({1, 2}), -0.5, 1.2), tau)
+            assert gap == pytest.approx(expected, abs=1e-12)
 
     def test_single_regime_targets_respect_envelope(self, bench_model, uniform_model):
         conds = [
@@ -117,11 +120,12 @@ class TestConditionalGap:
         ]
         targets = [STATE1, STATE2, RectEvent(frozenset({1}), -math.inf, 0.25), FULL]
         for model in (bench_model, uniform_model):
+            w_c = np.stack([ev.weights(model) for ev in conds])
+            w_t = np.stack([ev.weights(model) for ev in targets])
             for tau in range(1, 31):
-                for ev_b in conds:
-                    for ev_a in targets:
-                        rep = conditional_gap_exact(model, ev_a, ev_b, tau)
-                        assert rep.gap_estimate <= rep.theoretical_bound + 1e-12
+                # The envelope 2 c alpha^tau, c fitted on lags up to max(tau, 2).
+                bound = 2.0 * mixing_rate(model.chain, s_max=max(tau, 2)).bound(tau)
+                assert np.all(conditional_gap_matrix(model, w_t, w_c, tau) <= bound + 1e-12)
 
     def test_envelope_on_random_chains(self):
         for rows in random_chain_pool(8, seed=515, n_max=5):
@@ -129,27 +133,27 @@ class TestConditionalGap:
             ev_b = RectEvent(frozenset({1}), -math.inf, -1.0)
             for j in range(1, model.n_states + 1):
                 for tau in (1, 3, 7, 15):
-                    rep = conditional_gap_exact(model, RectEvent(frozenset({j})), ev_b, tau)
-                    assert rep.gap_estimate <= rep.theoretical_bound + 1e-12
+                    bound = 2.0 * mixing_rate(model.chain, s_max=max(tau, 2)).bound(tau)
+                    assert _conditional_gap(model, RectEvent(frozenset({j})), ev_b, tau) <= bound + 1e-12
 
     def test_iid_gap_is_zero(self, iid_model):
-        rep = conditional_gap_exact(
-            iid_model, RectEvent(frozenset({1}), -math.inf, 0.5), RectEvent(frozenset({1})), 4
-        )
-        assert rep.gap_estimate <= 1e-15
-        assert rep.theoretical_bound == 0.0
+        below = RectEvent(frozenset({1}), -math.inf, 0.5)
+        gap = _conditional_gap(iid_model, below, RectEvent(frozenset({1})), 4)
+        assert gap <= 1e-15
+        assert mixing_rate(iid_model.chain, s_max=4).bound(4) == 0.0
 
     def test_empty_conditioning_event(self, uniform_model):
         with pytest.raises(EmptyConditioningEvent):
-            conditional_gap_exact(uniform_model, FULL, RectEvent(frozenset({1}), 2.0, 3.0), 1)
+            _conditional_gap(uniform_model, FULL, RectEvent(frozenset({1}), 2.0, 3.0), 1)
 
     def test_tau_must_be_positive(self, bench_model):
         with pytest.raises(ValueError):
-            conditional_gap_exact(bench_model, FULL, FULL, 0)
+            _conditional_gap(bench_model, FULL, FULL, 0)
 
 
 class TestConditionalGapMatrix:
     def test_entries_match_single_pair_gaps(self):
+        # Each entry against one pair's gap by a direct matrix power.
         model = _three_family_model()
         family = default_event_family(model, (0.25, 0.5, 0.75))
         pi = model.stationary()
@@ -159,9 +163,10 @@ class TestConditionalGapMatrix:
         for tau in range(1, 7):
             gaps = conditional_gap_matrix(model, w_t, w_c, tau)
             assert gaps.shape == (len(conds), len(family))
-            for ci, cond in enumerate(conds):
-                for ti, target in enumerate(family):
-                    single = conditional_gap_exact(model, target, cond, tau).gap_estimate
+            p_tau = np.linalg.matrix_power(model.chain.p, tau)
+            for ci, wc in enumerate(w_c):
+                for ti, wt in enumerate(w_t):
+                    single = abs((pi * wc) @ p_tau @ wt / (pi @ wc) - pi @ wt)
                     assert abs(gaps[ci, ti] - single) <= 1e-15
 
     def test_empty_conditioning_event_in_stack(self):
@@ -317,11 +322,9 @@ class TestJointProductGap:
     def test_mc_agrees_with_exact(self, bench_model):
         events = [STATE1, RectEvent(frozenset({2}), -math.inf, 0.5), FULL]
         exact = joint_product_gap(bench_model, events, (3, 2))
-        mc = joint_product_gap(
-            bench_model, events, (3, 2), method="mc", replicates=30_000, seed=SeedSpec(2024, 9)
-        )
-        assert mc.std_error > 0.0
-        assert abs(mc.gap_estimate - exact.gap_estimate) <= 4 * mc.std_error
+        (gap,), (se,) = oracles.tuple_gaps_mc(bench_model, [events], (3, 2), 30_000, SeedSpec(2024, 9))
+        assert se > 0.0
+        assert abs(gap - exact.gap_estimate) <= 4 * se
 
     @pytest.mark.parametrize("kind", _EMISSION_KINDS)
     @settings(max_examples=10, deadline=None, derandomize=True)
@@ -346,43 +349,13 @@ class TestJointProductGap:
         )
         assume(joint >= 0.005)
         exact = joint_product_gap(model, events, lags)
-        mc = joint_product_gap(
-            model, events, lags, method="mc", replicates=40_000, seed=SeedSpec(4049, 3)
-        )
-        assert abs(mc.gap_estimate - exact.gap_estimate) <= 4 * mc.std_error
-
-    @pytest.mark.parametrize(
-        "events,lags",
-        [
-            ([STATE1, STATE2], (2,)),
-            ([STATE1, RectEvent(frozenset({2}), -math.inf, 0.5), FULL], (3, 2)),
-            ([RectEvent(frozenset({1, 2}), -0.5, 1.0)] * 3, (1, 4)),
-        ],
-    )
-    def test_mc_gap_is_one_tuple_certificate_less_three_se(self, bench_model, events, lags):
-        seed = SeedSpec(1234, 5)
-        rep = joint_product_gap(
-            bench_model, events, lags, method="mc", replicates=8_000, seed=seed
-        )
-        cert = epsilon_certificate(
-            bench_model, lags, family=[events], method="mc", replicates=8_000, seed=seed
-        )
-        assert rep.std_error > 0.0
-        assert cert == rep.gap_estimate + 3.0 * rep.std_error
-        # The vectorised error sums in another order than the loop oracle.
-        gap, se = oracles.joint_product_gap_mc_loop(bench_model, events, lags, 8_000, seed)
-        assert rep.gap_estimate == pytest.approx(gap, rel=1e-12, abs=1e-15)
-        assert rep.std_error == pytest.approx(se, rel=1e-12)
+        (gap,), (se,) = oracles.tuple_gaps_mc(model, [events], lags, 40_000, SeedSpec(4049, 3))
+        assert abs(gap - exact.gap_estimate) <= 4 * se
 
     def test_mc_deterministic_in_seed(self, bench_model):
-        events = [STATE1, STATE2]
-        a = joint_product_gap(
-            bench_model, events, (2,), method="mc", replicates=5_000, seed=SeedSpec(7, 1)
-        )
-        b = joint_product_gap(
-            bench_model, events, (2,), method="mc", replicates=5_000, seed=SeedSpec(7, 1)
-        )
-        assert a.gap_estimate == b.gap_estimate and a.std_error == b.std_error
+        a, b = (oracles.tuple_gaps_mc(bench_model, [[STATE1, STATE2]], (2,), 5_000, SeedSpec(7, 1))
+                for _ in range(2))
+        np.testing.assert_array_equal(a, b)
 
     def test_argument_errors(self, bench_model):
         with pytest.raises(ValueError):
@@ -391,7 +364,8 @@ class TestJointProductGap:
             joint_product_gap(bench_model, [FULL, FULL], (1, 2))
         with pytest.raises(ValueError):
             joint_product_gap(bench_model, [FULL, FULL], (0,))
-        with pytest.raises(ValueError):
+        # Only the exact route is left: there is no method to choose.
+        with pytest.raises(TypeError):
             joint_product_gap(bench_model, [FULL, FULL], (1,), method="mc")
 
     @pytest.mark.parametrize("lags", [(1, 2, 1, 1, 2, 1), (1, 1, 2, 1, 1, 1, 2)],
@@ -527,52 +501,21 @@ class TestEpsilonCertificate:
         assert abs(fused - explicit) <= 1e-14
 
     def test_mc_certificate_is_conservative(self, bench_model):
+        # The largest sampled gap plus 3 SE over every tuple of the pool
+        # covers the exact certificate, and not by much.
         base = default_event_family(bench_model, (0.5,))
         exact = epsilon_certificate(bench_model, (3,), base_events=base)
-        mc = epsilon_certificate(
-            bench_model,
-            (3,),
-            base_events=base,
-            method="mc",
-            replicates=30_000,
-            seed=SeedSpec(31, 4),
-        )
+        family = list(itertools.product(base, repeat=2))
+        gaps, std_errors = oracles.tuple_gaps_mc(bench_model, family, (3,), 30_000, SeedSpec(31, 4))
+        mc = float(np.max(gaps + 3.0 * std_errors))
         assert mc >= exact
         assert mc <= exact + 0.03
 
-    def test_mc_pool_certificate_memory(self):
-        # Unpruned, the 31-event default pool gave a (replicates, 31^3)
-        # boolean matrix per position: 174 MiB at 2,000 replicates.
-        model = _three_family_model()
-        tracemalloc.start()
-        try:
-            eps = epsilon_certificate(model, [5, 5], method="mc", replicates=2_000,
-                                      seed=SeedSpec(1, 0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert eps > 0.0
-        assert peak < 16 * 2**20
-
-    def test_mc_pool_scores_the_undominated_events(self):
-        model = _three_family_model()
-        base = default_event_family(model)
-        survivors = [ev for ev in base if ev.lo == -math.inf and ev.hi == math.inf]
-        assert len(survivors) == 4 < len(base)
-        kwargs = dict(method="mc", replicates=3_000, seed=SeedSpec(5, 2))
-        pool = epsilon_certificate(model, (2, 3), **kwargs)
-        explicit = epsilon_certificate(
-            model, (2, 3), family=itertools.product(survivors, repeat=3), **kwargs
-        )
-        assert pool == explicit
-
-    @pytest.mark.parametrize("method", ["exact", "mc"])
-    def test_all_zero_pool_gives_zero(self, method):
+    def test_all_zero_pool_gives_zero(self):
         # Regime 2 emits on (-0.5, 1.5], so neither event can occur.
         model = _three_family_model()
         base = [RectEvent(frozenset({2}), 5.0, 6.0), RectEvent(frozenset({2}), -9.0, -8.0)]
-        assert epsilon_certificate(model, (2,), base_events=base, method=method,
-                                   replicates=500, seed=SeedSpec(3, 1)) == 0.0
+        assert epsilon_certificate(model, (2,), base_events=base) == 0.0
 
     def test_argument_errors(self, bench_model):
         with pytest.raises(ValueError):
@@ -585,8 +528,14 @@ class TestEpsilonCertificate:
             )
         with pytest.raises(ValueError):
             epsilon_certificate(bench_model, (1,), family=[(FULL,)])
+        # method takes one value; the sampled certificate and its knobs are gone.
+        default = epsilon_certificate(bench_model, (1,))
+        assert epsilon_certificate(bench_model, (1,), method="exact") == default
         with pytest.raises(ValueError):
             epsilon_certificate(bench_model, (1,), method="mc")
+        for knob in ("replicates", "seed"):
+            with pytest.raises(TypeError):
+                epsilon_certificate(bench_model, (1,), **{knob: None})
         # profile was accepted and never read; it is no longer a parameter.
         with pytest.raises(TypeError):
             epsilon_certificate(bench_model, (1,), profile=None)

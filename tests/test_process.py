@@ -20,7 +20,7 @@ from regimeclt.chain import TransitionMatrix
 from regimeclt.charfn import cf_factorization_gap
 from regimeclt.clt import clt_convergence
 from regimeclt.errors import InvalidModel, ZeroLikelihood
-from regimeclt.independence import RectEvent, joint_product_gap
+from regimeclt.independence import RectEvent
 from regimeclt.process import (
     EmissionSpec,
     Gaussian,
@@ -261,11 +261,11 @@ class TestModelSpec:
 
         def outputs(model):
             cf = cf_factorization_gap(model, (2, 3), [0.5, 1.0], replicates=400, seed=seed)
-            gap = joint_product_gap(model, events, (3,), method="mc", replicates=2_000, seed=seed)
+            gap = oracles.tuple_gaps_mc(model, [events], (3,), 2_000, seed)
             sd = oracles.long_run_std_batch_means(model, seed, batches=50)
             conv = clt_convergence(model, [16, 64])
-            return [np.asarray(getattr(rep, f.name)) for rep in (cf, gap, conv)
-                    for f in dataclasses.fields(rep)] + [np.asarray(sd)]
+            return [np.asarray(getattr(rep, f.name)) for rep in (cf, conv)
+                    for f in dataclasses.fields(rep)] + [*gap, np.asarray(sd)]
 
         for a, b in zip(outputs(started), outputs(twin), strict=True):
             np.testing.assert_array_equal(a, b)

@@ -19,6 +19,7 @@ from regimeclt.independence import (RectEvent, conditional_gap_matrix, default_e
 from regimeclt.runner import (
     BOUND_SLACK,
     EXPERIMENTS,
+    MAX_CLT_N,
     MAX_LAG,
     Scenario,
     _csv_field,
@@ -982,9 +983,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "experiment,params,message",
-        [("cf_gap", {"replicates": 10**15}, "complex phase matrix needs 48000000000000000 bytes"),
-         ("clt", {"n_grid": [10**15]}, "remainder of n=1000000000000000")],
-        ids=["cf_gap-replicates=1e15", "clt-n_grid=1e15"],
+        [("cf_gap", {"replicates": 10**15}, "complex phase matrix needs 48000000000000000 bytes")],
+        ids=["cf_gap-replicates=1e15"],
     )
     def test_run_oversized_config_is_config_error(self, tmp_path, capsys, monkeypatch,
                                                   experiment, params, message):
@@ -1000,6 +1000,36 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config-invalid"
         assert message in err["message"] and "byte cap" in err["message"]
+
+    @pytest.mark.parametrize("n_grid", [[MAX_CLT_N + 1], [10**15], [16, 10**15]],
+                             ids=["n=max+1", "n=1e15", "n=16,1e15"])
+    def test_run_clt_n_over_the_cap_is_config_error(self, tmp_path, capsys, monkeypatch, n_grid):
+        # The exact cf's round-off grows like n eps, so an n past MAX_CLT_N
+        # exits 1 when the scenario is loaded, before any clt work.
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked before n_grid was checked")
+
+        for name in ("decompose", "remainder_diagnostic", "clt_convergence"):
+            monkeypatch.setattr(runner, name, no_work)
+        monkeypatch.setattr(SeedSpec, "block_rng", no_work)
+        path = write_scenario(tmp_path / "s.json", scenario_dict(experiment="clt", params={"n_grid": n_grid}))
+        code = cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-invalid"
+        assert "'n_grid' must be <= 1000000000, got " in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_clt_n_at_the_cap_runs(self, tmp_path):
+        # n = 10^9 was run through a 1.1e7-index remainder walk; now it is
+        # a few matrix powers, like every other clt quantity.
+        params = {"n_grid": [16, MAX_CLT_N]}
+        path = write_scenario(tmp_path / "s.json", scenario_dict(experiment="clt", params=params))
+        assert load_scenario(path).params["n_grid"] == [16, MAX_CLT_N]
+        assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 0
+        results = json.loads((tmp_path / "out" / "t1" / "report.json").read_text())["results"]
+        assert results["block"]["n"] == MAX_CLT_N
+        assert 0.0 < results["remainder"]["second_moment"] < 1.0
 
     def test_run_bound_violation(self, tmp_path, capsys):
         path = write_scenario(

@@ -27,3 +27,22 @@ def test_no_private_name_is_imported_from_a_sibling_module(path):
         offenders += [f"{path.name}:{node.lineno} from {source} import {alias.name}"
                       for alias in node.names if _private(alias.name)]
     assert not offenders, offenders
+
+
+def test_independence_layer_draws_nothing():
+    # Every gap and certificate in regimeclt.independence is exact: the
+    # sampled estimates of them live in tests/oracles.py, so the module
+    # needs neither the path sampler nor a seed.
+    path = PACKAGE / "independence.py"
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            source = "." * node.level + (node.module or "")
+            if source in (".seeds", "regimeclt.seeds"):
+                offenders.append(f"line {node.lineno}: from {source} import ...")
+            offenders += [f"line {node.lineno}: {alias.name}" for alias in node.names
+                          if alias.name == "iter_path_chunks"]
+        elif isinstance(node, ast.Import):
+            offenders += [f"line {node.lineno}: import {alias.name}" for alias in node.names
+                          if alias.name == "regimeclt.seeds"]
+    assert not offenders, offenders
