@@ -131,6 +131,20 @@ def enumerate_joint_probability(
     return total
 
 
+def transfer_by_matrix_power(start: np.ndarray, weights: list, steps: list) -> np.ndarray:
+    """start W_0 M_1 W_1 ... M_last W_last 1 with every M^power formed first.
+
+    The same broadcast contract as `exact.transfer`, by the plain route: each
+    step, single or stacked, is raised with np.linalg.matrix_power and the
+    row vector multiplied in after.
+    """
+    v = start * weights[0]
+    for w, (m, power) in zip(weights[1:], steps):
+        m = np.linalg.matrix_power(m, power)
+        v = (v @ m if m.ndim == 2 else (v[..., None, :] @ m)[..., 0, :]) * w
+    return v.sum(axis=-1)
+
+
 def filter_by_enumeration(
     init: np.ndarray, p: np.ndarray, densities: np.ndarray
 ) -> np.ndarray:
@@ -431,6 +445,13 @@ def remainder_indices(decomposition) -> np.ndarray:
     ends = np.arange(1, d.nu + 1, dtype=np.int64) * d.k
     return np.concatenate([(ends[:, None] + np.arange(1 - d.m, 1)).ravel(),
                            np.arange(d.nu * d.k + 1, d.n + 1)])
+
+
+def block_ranges(decomposition) -> tuple[tuple[int, int], ...]:
+    """The blocks' 1-based inclusive intervals ((i-1)k + 1, ik - m), i = 1..nu."""
+    d = decomposition
+    ends = np.arange(1, d.nu + 1, dtype=np.int64) * d.k  # last index of each window
+    return tuple(zip((ends - d.k + 1).tolist(), (ends - d.m).tolist()))
 
 
 def remainder_second_moment_walk(model, decomposition) -> float:

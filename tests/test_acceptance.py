@@ -220,7 +220,7 @@ def test_criterion_6_block_partition_and_remainder(iid_model):
         m = int(rng.integers(1, k))
         d = decompose(n, alpha_exp, m)
         covered = np.zeros(n + 1, dtype=bool)
-        for lo, hi in d.block_ranges:
+        for lo, hi in oracles.block_ranges(d):
             covered[lo : hi + 1] = True
         covered[oracles.remainder_indices(d)] = True
         if not covered[1:].all() or d.p != d.m * d.nu + d.n - d.k * d.nu:

@@ -3,6 +3,8 @@ long-run variance, and the convergence report."""
 
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -42,6 +44,7 @@ from regimeclt.process import (
     mixture_mean,
     sample_path,
 )
+from regimeclt.runner import MAX_CLT_N
 from regimeclt.seeds import SeedSpec
 from tests_support import random_chain_pool
 
@@ -50,9 +53,8 @@ class TestDecompose:
     def test_reference_example(self):
         d = decompose(1000, 0.25, 2)
         assert (d.k, d.nu, d.block_length, d.p) == (5, 200, 3, 400)
-        assert d.block_ranges[0] == (1, 3)
-        assert d.block_ranges[1] == (6, 8)
-        assert d.block_ranges[-1] == (996, 998)
+        ranges = oracles.block_ranges(d)
+        assert (ranges[0], ranges[1], ranges[-1]) == ((1, 3), (6, 8), (996, 998))
         np.testing.assert_array_equal(oracles.remainder_indices(d)[:4], [4, 5, 9, 10])
 
     def test_handmade_small_case(self):
@@ -78,7 +80,7 @@ class TestDecompose:
             return
         m = max(1, min(k - 1, int(1 + m_frac * (k - 1))))
         d = decompose(n, alpha_exp, m)
-        lo, hi = np.array(d.block_ranges, dtype=np.int64).reshape(-1, 2).T
+        lo, hi = np.array(oracles.block_ranges(d), dtype=np.int64).reshape(-1, 2).T
         assert (hi - lo + 1 == d.k - d.m).all()
         # Blocks covering each index: +1 at every lo, -1 past every hi.
         steps = np.zeros(n + 2, dtype=np.int64)
@@ -100,8 +102,8 @@ class TestDecompose:
         for m in range(1, k):
             d = decompose(n, alpha_exp, m)
             ranges, remainder = oracles.block_partition_loop(n, d.k, m)
-            assert d.k == k and d.block_ranges == ranges
-            assert all(type(v) is int for pair in d.block_ranges for v in pair)
+            assert d.k == k and oracles.block_ranges(d) == ranges
+            assert all(type(v) is int for pair in oracles.block_ranges(d) for v in pair)
             assert oracles.remainder_indices(d).dtype == np.int64
             np.testing.assert_array_equal(oracles.remainder_indices(d), remainder)
             assert d.p == len(remainder)
@@ -770,6 +772,33 @@ class TestCltExact:
 
         run()
         assert min(run() for _ in range(5)) <= 0.05
+
+    def test_panel_rule_matches_leggauss(self):
+        x, w = clt_mod._PANEL_RULE
+        want_x, want_w = np.polynomial.legendre.leggauss(clt_mod._PANEL_NODES)
+        np.testing.assert_allclose(x, want_x, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(w, want_w, rtol=0.0, atol=1e-14)
+
+    def test_clt_run_leaves_out_numpy_polynomial(self):
+        # Importing numpy.polynomial costs milliseconds in every cold run.
+        scenario = Path(__file__).resolve().parents[1] / "scenarios" / "benchmark_clt.json"
+        code = ("import sys, tempfile, regimeclt\n"
+                f"scenario = regimeclt.load_scenario({str(scenario)!r})\n"
+                "with tempfile.TemporaryDirectory() as out:\n"
+                "    regimeclt.run_scenario(scenario, out)\n"
+                "print('numpy.polynomial' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("name", ["workload", "benchmark_clt"])
+    def test_round_off_stays_flat_up_to_the_cap(self, name, workload_model):
+        # The exact cf's round-off grows like n eps; up to MAX_CLT_N it stays
+        # far below the Berry-Esseen rate, so KS sqrt(n) holds still.
+        model = workload_model if name == "workload" else _benchmark_clt_model()
+        scaled = [_exact_distances(model, n, self.T_GRID).ks * math.sqrt(n) for n in (10**6, MAX_CLT_N)]
+        assert scaled[1] == pytest.approx(scaled[0], rel=0.01)
 
     def test_stack_over_the_byte_cap_is_refused_before_allocation(self, monkeypatch):
         # 460 states: 320 nodes of 460 x 460 complex entries pass 2^30 bytes.

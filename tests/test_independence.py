@@ -253,6 +253,30 @@ class TestJointCore:
             expected = abs(joint - np.prod([v @ w for w in picked]))
             assert abs(gaps[key] - expected) <= 1e-14
 
+    @pytest.mark.parametrize("power", [0, 1, 2, 3, 7, 8, 999, 15_999])
+    @pytest.mark.parametrize("dtype", ["real", "complex"])
+    @pytest.mark.parametrize("layout", ["paired", "broadcast"])
+    def test_stacked_step_matches_matrix_power(self, power, dtype, layout):
+        # A (T, N, N) step is squared into the vector; the oracle forms each
+        # M^power first. A single step follows, as in a two-lag product.
+        # "broadcast" puts the step stack on an axis of its own, (T, 1, N, N)
+        # against (B, N) weights, and the products fill a (T, B) grid.
+        rows = random_chain_pool(4, seed=2027, n_min=3, n_max=3)
+        rng = np.random.default_rng(power)
+        steps = np.stack(rows)
+        if dtype == "complex":  # P D(s) at small s, as the exact clt stacks it
+            steps = steps * np.exp(1j * rng.uniform(-0.01, 0.01, size=(4, 1, 3)))
+        rows_per_weight = 4 if layout == "paired" else 2
+        weights = [rng.uniform(0.5, 1.0, size=(rows_per_weight, 3)) for _ in range(2)] + [np.ones(3)]
+        if layout == "broadcast":
+            steps = steps[:, None]
+        start = rng.dirichlet(np.ones(3))
+        got = exact.transfer(start, weights, [(steps, power), (rows[0], 2)])
+        want = oracles.transfer_by_matrix_power(start, weights, [(steps, power), (rows[0], 2)])
+        assert got.shape == want.shape == ((4,) if layout == "paired" else (4, 2))
+        assert got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
     def test_validate_lags_refuses_fractional_lags(self):
         assert exact.validate_lags([1, 2.0, np.int64(3), np.float64(4.0)]) == (1, 2, 3, 4)
         assert all(type(t) is int for t in exact.validate_lags(np.array([1, 2])))
