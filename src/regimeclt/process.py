@@ -679,10 +679,13 @@ def iter_path_chunks(
     cum_init = np.cumsum(model.initial_distribution())
     cum_init[-1] = 1.0
 
+    # One uniform buffer for every chunk: a fresh one would page-fault afresh.
+    # Nothing yielded is a view of it.
+    buffer = np.empty((chunk_size, draws_per_rep))
     start = 0
     while start < n_paths:
         size = min(chunk_size, n_paths - start)
-        u = np.empty((size, draws_per_rep))
+        u = buffer[:size]
         row = 0
         while row < size:
             # Replicates come in index order from 0, so a block's generator

@@ -800,6 +800,28 @@ class TestCltExact:
         scaled = [_exact_distances(model, n, self.T_GRID).ks * math.sqrt(n) for n in (10**6, MAX_CLT_N)]
         assert scaled[1] == pytest.approx(scaled[0], rel=0.01)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
+                        reason="needs an extended longdouble for the reference cf")
+    @pytest.mark.parametrize("n", [1000, 16000])
+    def test_stacked_cf_round_off_stays_below_n_eps(self, n, workload_model, monkeypatch):
+        # The exact clt's transfer on its own Gil-Pelaez nodes, against the
+        # oracle's matrix powers of the same stack in extended precision.
+        calls = []
+        transfer = clt_mod.exact.transfer
+
+        def recording(start, weights, steps):
+            calls.append((start, weights, steps))
+            return transfer(start, weights, steps)
+
+        monkeypatch.setattr(clt_mod.exact, "transfer", recording)
+        _exact_distances(workload_model, n, self.T_GRID)
+        (start, weights, [(step, power)]), = calls
+        got = transfer(start, weights, [(step, power)])
+        want = oracles.transfer_by_matrix_power(
+            start.astype(np.longdouble), [w.astype(np.clongdouble) for w in weights],
+            [(step.astype(np.clongdouble), power)])
+        assert np.max(np.abs(got - want)) <= n * np.finfo(np.float64).eps
+
     def test_stack_over_the_byte_cap_is_refused_before_allocation(self, monkeypatch):
         # 460 states: 320 nodes of 460 x 460 complex entries pass 2^30 bytes.
         rng = np.random.default_rng(64)

@@ -255,27 +255,56 @@ class TestJointCore:
 
     @pytest.mark.parametrize("power", [0, 1, 2, 3, 7, 8, 999, 15_999])
     @pytest.mark.parametrize("dtype", ["real", "complex"])
-    @pytest.mark.parametrize("layout", ["paired", "broadcast"])
-    def test_stacked_step_matches_matrix_power(self, power, dtype, layout):
+    @pytest.mark.parametrize("layout", ["paired", "broadcast", "wide_weights"])
+    @pytest.mark.parametrize("n_states", [1, 2, 3, 4, 5, 8])
+    def test_stacked_step_matches_matrix_power(self, power, dtype, layout, n_states):
         # A (T, N, N) step is squared into the vector; the oracle forms each
-        # M^power first. A single step follows, as in a two-lag product.
+        # M^power first. A single step follows, as in a two-lag product. N up
+        # to 4 takes the matrix-axes-first route, 5 and 8 the stacked matmul.
         # "broadcast" puts the step stack on an axis of its own, (T, 1, N, N)
         # against (B, N) weights, and the products fill a (T, B) grid.
-        rows = random_chain_pool(4, seed=2027, n_min=3, n_max=3)
+        # "wide_weights" gives the weights more stack axes than the step:
+        # (A, T, N) weights against a (T, N, N) step fill an (A, T) grid.
+        rows = random_chain_pool(4, seed=2027, n_min=n_states, n_max=n_states)
         rng = np.random.default_rng(power)
         steps = np.stack(rows)
         if dtype == "complex":  # P D(s) at small s, as the exact clt stacks it
-            steps = steps * np.exp(1j * rng.uniform(-0.01, 0.01, size=(4, 1, 3)))
-        rows_per_weight = 4 if layout == "paired" else 2
-        weights = [rng.uniform(0.5, 1.0, size=(rows_per_weight, 3)) for _ in range(2)] + [np.ones(3)]
+            steps = steps * np.exp(1j * rng.uniform(-0.01, 0.01, size=(4, 1, n_states)))
+        weight_stack, shape = {"paired": ((4,), (4,)), "broadcast": ((2,), (4, 2)),
+                               "wide_weights": ((2, 4), (2, 4))}[layout]
+        weights = [rng.uniform(0.5, 1.0, size=weight_stack + (n_states,)) for _ in range(2)]
+        weights.append(np.ones(n_states))
         if layout == "broadcast":
             steps = steps[:, None]
-        start = rng.dirichlet(np.ones(3))
+        start = rng.dirichlet(np.ones(n_states))
         got = exact.transfer(start, weights, [(steps, power), (rows[0], 2)])
         want = oracles.transfer_by_matrix_power(start, weights, [(steps, power), (rows[0], 2)])
-        assert got.shape == want.shape == ((4,) if layout == "paired" else (4, 2))
+        assert got.shape == want.shape == shape
         assert got.dtype == want.dtype
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # Values from the oracle in extended precision: two float64 routes
+        # each carry round-off of about power * eps and, at N = 4 and power
+        # 15,999, differ by 1.1e-12 relative, the oracle being the worse.
+        extended = [np.asarray(a, dtype=np.clongdouble if dtype == "complex" else np.longdouble)
+                    for a in (start, *weights, steps, rows[0])]
+        want = oracles.transfer_by_matrix_power(extended[0], extended[1:4],
+                                                [(extended[4], power), (extended[5], 2)])
+        rtol = max(1e-12, 2 * power * float(np.finfo(np.longdouble).eps))
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+    def test_stacked_step_peak_memory_stays_within_a_few_stacks(self):
+        # Each product is N multiply-adds of one stack each; a broadcast
+        # (N, N, N, T) product would peak at about 6.5 stacks.
+        rng = np.random.default_rng(50)
+        step = (rng.random((50_000, 4, 4)) + 1j * rng.random((50_000, 4, 4))) / 4
+        weights = [rng.random((50_000, 4)) + 0j, np.ones(4)]
+        start = np.full(4, 0.25)
+        tracemalloc.start()
+        try:
+            exact.transfer(start, weights, [(step, 15_999)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * step.nbytes
 
     def test_validate_lags_refuses_fractional_lags(self):
         assert exact.validate_lags([1, 2.0, np.int64(3), np.float64(4.0)]) == (1, 2, 3, 4)

@@ -1,6 +1,7 @@
 """Tests for emissions, model specs, path simulation, and filtering."""
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -411,6 +412,20 @@ class TestIterPathChunks:
         small = self._collect(bench_model, 30, 40, seed, max_elements=200)
         np.testing.assert_array_equal(big[0], small[0])
         np.testing.assert_array_equal(big[1], small[1])
+
+    def test_chunks_share_no_memory(self, bench_model):
+        # Every chunk draws into one reused uniform buffer; what is yielded
+        # must still be the chunk's own, and keep its bits once later chunks
+        # are drawn. 61 uniforms a replicate: 3 replicates per chunk.
+        seed = SeedSpec(99, 2)
+        chunks = list(iter_path_chunks(bench_model, 30, 10, seed, max_elements=200))
+        assert len(chunks) == 4
+        arrays = [a for _start, states, obs in chunks for a in (states, obs)]
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+        (_start, states, obs), = iter_path_chunks(bench_model, 30, 10, seed)
+        np.testing.assert_array_equal(np.concatenate([s for _i, s, _x in chunks]), states)
+        np.testing.assert_array_equal(np.concatenate([x for _i, _s, x in chunks]), obs)
 
     def test_replicate_matches_manual_reconstruction(self, bench_model):
         # Replicate r consumes 2n + 1 uniforms (one for the initial regime, n
