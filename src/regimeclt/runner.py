@@ -20,7 +20,10 @@ the format Python 3.11's csv writer gives with lineterminator "\n": a field
 is quoted only when it holds a comma, a double quote or a newline ("\r" is
 not quoted), and a quote inside is doubled. Every number in tables.csv is
 repr(float(v)), an absent std_error or bound an empty field. The bytes are
-those the csv module wrote before.
+those the csv module wrote before. A pipeline hands the table over as
+blocks, one per checked call, whose rows share a section, std_error and
+bound; each of those is formatted once per block, and each distinct number
+(a zero by its sign) once per table.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import repeat
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -277,26 +279,28 @@ def load_scenario(path) -> Scenario:
 # experiment pipelines
 # ---------------------------------------------------------------------------
 
-# Report row: (section, label, value, std_error or None, bound or None).
-Row = tuple[str, str, float, float | None, float | None]
+# Report block: (section, labels, values, std_error or None, bound or None),
+# one tables.csv row per (label, value), all sharing the section, std_error
+# and bound.
+Block = tuple[str, Sequence[str], Sequence[float], float | None, float | None]
 # Absolute slack for exact-arithmetic bound comparisons; covers accumulated
 # round-off in matrix powers.
 BOUND_SLACK = 1e-12
 
 
-def _check(rows: list[Row], violations: list[str], section: str, label: str,
+def _check(blocks: list[Block], violations: list[str], section: str, label: str,
            value: float, std_error: float | None, bound: float | None) -> None:
-    _check_all(rows, violations, section, (label,), (value,), std_error, bound)
+    _check_all(blocks, violations, section, (label,), (value,), std_error, bound)
 
 
-def _check_all(rows: list[Row], violations: list[str], section: str, labels: Sequence[str],
+def _check_all(blocks: list[Block], violations: list[str], section: str, labels: Sequence[str],
                values: Sequence[float], std_error: float | None, bound: float | None) -> None:
-    """Append one row per (label, value), all sharing std_error and bound."""
-    rows.extend(zip(repeat(section), labels, values, repeat(std_error), repeat(bound)))
+    """Append one block of rows, and a violation per value over the bound (a NaN is not)."""
+    blocks.append((section, labels, values, std_error, bound))
     if bound is not None:
-        limit = bound + BOUND_SLACK
-        violations.extend(f"{section}[{label}]: value {value!r} exceeds bound {bound!r}"
-                          for label, value in zip(labels, values) if value > limit)
+        over = np.flatnonzero(np.asarray(values, dtype=np.float64) > bound + BOUND_SLACK)
+        violations.extend(f"{section}[{labels[i]}]: value {values[i]!r} exceeds bound {bound!r}"
+                          for i in over.tolist())
 
 
 def _require_ergodic(model: ModelSpec) -> None:
@@ -305,15 +309,15 @@ def _require_ergodic(model: ModelSpec) -> None:
         raise ConfigInvalid(f"scenario chain is not ergodic: {verdict.reason}")
 
 
-def _experiment_mixing(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
+def _experiment_mixing(scenario: Scenario) -> tuple[dict, list[Block], list[str]]:
     params = scenario.params
     chain = scenario.model.chain
     prof = mixing_rate(chain, s_max=params["s_max"])
     pi = chain.stationary()
-    rows: list[Row] = []
+    blocks: list[Block] = []
     violations: list[str] = []
     for s, gap in prof.gaps:
-        _check(rows, violations, "mixing", f"s={s}", gap, None,
+        _check(blocks, violations, "mixing", f"s={s}", gap, None,
                scenario.bound_scale * prof.bound(s))
     results = {
         "alpha": prof.alpha,
@@ -322,10 +326,10 @@ def _experiment_mixing(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
         "s_max": params["s_max"],
         "max_gap": max((g for _s, g in prof.gaps), default=0.0),
     }
-    return results, rows, violations
+    return results, blocks, violations
 
 
-def _experiment_independence(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
+def _experiment_independence(scenario: Scenario) -> tuple[dict, list[Block], list[str]]:
     model = scenario.model
     params = scenario.params
     tau_grid = params["tau_grid"]
@@ -342,20 +346,20 @@ def _experiment_independence(scenario: Scenario) -> tuple[dict, list[Row], list[
     target_idx = [i for i, ev in enumerate(family) if len(ev.state_set) == 1]
     # Rows run over targets, then conditioning events: the (C, T) gaps transposed.
     pairs = [f" target={labels[t]} given={labels[c]}" for t in target_idx for c in cond_idx]
-    rows: list[Row] = []
+    blocks: list[Block] = []
     violations: list[str] = []
     for tau in tau_grid:
         gaps = conditional_gap_matrix(model, weights[target_idx], weights[cond_idx], tau)
-        _check_all(rows, violations, "conditional", [f"tau={tau}{pair}" for pair in pairs],
+        _check_all(blocks, violations, "conditional", [f"tau={tau}{pair}" for pair in pairs],
                    gaps.T.ravel().tolist(), None, scale * (2.0 * prof.bound(tau)))
     chained = chained_gap_bound(prof, lags)
     lag_label = ",".join(str(t) for t in lags)
     # Each target repeated at every position, one stack row per target.
     joint = product_gap(model.stationary(), model.chain.p, [weights[target_idx]] * (len(lags) + 1), lags)
-    _check_all(rows, violations, "joint", [f"lags={lag_label} event={labels[t]}" for t in target_idx],
+    _check_all(blocks, violations, "joint", [f"lags={lag_label} event={labels[t]}" for t in target_idx],
                joint.tolist(), None, scale * chained)
     eps = epsilon_certificate(model, lags)
-    _check(rows, violations, "epsilon", f"lags={lag_label}", eps, None, scale * chained)
+    _check(blocks, violations, "epsilon", f"lags={lag_label}", eps, None, scale * chained)
     results = {
         "alpha": prof.alpha,
         "c": prof.c,
@@ -364,10 +368,10 @@ def _experiment_independence(scenario: Scenario) -> tuple[dict, list[Row], list[
         "lags": list(lags),
         "n_conditional_rows": len(tau_grid) * len(target_idx) * len(cond_idx),
     }
-    return results, rows, violations
+    return results, blocks, violations
 
 
-def _experiment_cf_gap(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
+def _experiment_cf_gap(scenario: Scenario) -> tuple[dict, list[Block], list[str]]:
     model = scenario.model
     params = scenario.params
     lags = params["lags"]
@@ -380,18 +384,18 @@ def _experiment_cf_gap(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
         model, lags, params["t_grid"], replicates=params["replicates"],
         seed=scenario.seed.child(1),
     )
-    rows: list[Row] = []
+    blocks: list[Block] = []
     violations: list[str] = []
     for t, gap, se in zip(rep.t_grid, rep.gaps, rep.std_errors):
         # Reported, not gated: exit 2 is for exact computations, and the
         # folded |gap| is noisier than its batch SE says. cf_gap_exact is gated.
-        _check(rows, violations, "cf_gap", f"t={float(t)!r}", float(gap), float(se), None)
+        _check(blocks, violations, "cf_gap", f"t={float(t)!r}", float(gap), float(se), None)
     exact = cf_gap_exact(model, lags, params["t_grid"])
     for t, gap in zip(rep.t_grid, exact):
-        _check(rows, violations, "cf_gap_exact", f"t={float(t)!r}", float(gap), None,
+        _check(blocks, violations, "cf_gap_exact", f"t={float(t)!r}", float(gap), None,
                scale * 2.0 * eps)
     for t, approx in zip(params["t_grid"], approximations):
-        _check(rows, violations, "step", f"t={t!r} cells={approx.n_cells}",
+        _check(blocks, violations, "step", f"t={t!r} cells={approx.n_cells}",
                approx.sup_error, None, scale * params["eta"])
     results = {
         "epsilon_hat": eps,
@@ -401,10 +405,10 @@ def _experiment_cf_gap(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
         "max_gap": rep.max_gap,
         "max_gap_exact": float(np.max(exact)),
     }
-    return results, rows, violations
+    return results, blocks, violations
 
 
-def _experiment_clt(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
+def _experiment_clt(scenario: Scenario) -> tuple[dict, list[Block], list[str]]:
     model = scenario.model
     params = scenario.params
     scale = scenario.bound_scale
@@ -425,20 +429,20 @@ def _experiment_clt(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
                             f"(R = {rem.abs_third_moment!r})")
     report = clt_convergence(model, params["n_grid"], t_grid=params["t_grid"],
                              eta_grid=params["eta_grid"])
-    rows: list[Row] = []
+    blocks: list[Block] = []
     violations: list[str] = []
     for i, n in enumerate(report.n_grid):
-        _check(rows, violations, "ks_distance", f"n={n}", report.ks_distance[i], None, None)
-        _check(rows, violations, "cf_distance", f"n={n}", report.cf_distance[i], None, None)
-        _check(rows, violations, "variance_ratio_exact", f"n={n}",
+        _check(blocks, violations, "ks_distance", f"n={n}", report.ks_distance[i], None, None)
+        _check(blocks, violations, "cf_distance", f"n={n}", report.cf_distance[i], None, None)
+        _check(blocks, violations, "variance_ratio_exact", f"n={n}",
                report.variance_ratio_exact[i], None, None)
         for j, eta in enumerate(report.eta_grid):
-            _check(rows, violations, "lindeberg", f"n={n} eta={eta!r}",
+            _check(blocks, violations, "lindeberg", f"n={n} eta={eta!r}",
                    float(report.lindeberg_values[i, j]), None, None)
 
     # p^2 R^2 / n dominates the remainder second moment only when R >= 1.
     rem_bound = scale * rem.bound if rem.abs_third_moment >= 1.0 else None
-    _check(rows, violations, "remainder", f"n={n_max} k={d.k} m={d.m}",
+    _check(blocks, violations, "remainder", f"n={n_max} k={d.k} m={d.m}",
            rem.second_moment, None, rem_bound)
 
     ks = report.ks_distance
@@ -454,10 +458,10 @@ def _experiment_clt(scenario: Scenario) -> tuple[dict, list[Row], list[str]]:
             "abs_third_moment": rem.abs_third_moment,
         },
     }
-    return results, rows, violations
+    return results, blocks, violations
 
 
-_PIPELINES: dict[str, Callable[[Scenario], tuple[dict, list[Row], list[str]]]] = {
+_PIPELINES: dict[str, Callable[[Scenario], tuple[dict, list[Block], list[str]]]] = {
     "mixing": _experiment_mixing,
     "independence": _experiment_independence,
     "cf_gap": _experiment_cf_gap,
@@ -496,21 +500,30 @@ def _csv_line(fields: Sequence[str]) -> str:
 class _FloatReprs(dict):
     """repr(float(v)) by value, each formatted once; None maps to ""."""
 
+    def __init__(self) -> None:
+        super().__init__({None: ""})
+        self._zeros: dict[float, str] = {}  # by sign: 0.0 and -0.0 are equal keys
+
     def __missing__(self, v) -> str:
-        text = repr(float(v))
-        if v:  # 0.0 and -0.0 are equal keys, so zeros are never stored
-            self[v] = text
+        if v == 0.0:
+            sign = math.copysign(1.0, v)
+            text = self._zeros.get(sign)
+            if text is None:
+                text = self._zeros[sign] = repr(float(v))
+            return text
+        text = self[v] = repr(float(v))
         return text
 
 
-def _csv_text(rows: Sequence[Row]) -> str:
-    # Sections, standard errors and bounds repeat across rows (one bound per
-    # tau on a conditional table), so each distinct one is formatted once.
-    sections = {section: _csv_field(section) for section in {row[0] for row in rows}}
-    reprs = _FloatReprs({None: ""})
-    return _csv_line(("section", "label", "value", "std_error", "bound")) + "".join([
-        f"{sections[section]},{_csv_field(label)},{float(value)!r},{reprs[std_error]},{reprs[bound]}\n"
-        for section, label, value, std_error, bound in rows])
+def _csv_text(blocks: Sequence[Block]) -> str:
+    reprs = _FloatReprs()
+    lines = [_csv_line(("section", "label", "value", "std_error", "bound"))]
+    for section, labels, values, std_error, bound in blocks:
+        head = _csv_field(section) + ","
+        tail = f",{reprs[std_error]},{reprs[bound]}\n"
+        lines.extend([f"{head}{label},{value}{tail}"
+                      for label, value in zip(map(_csv_field, labels), map(reprs.__getitem__, values))])
+    return "".join(lines)
 
 
 @dataclass(frozen=True)
@@ -539,7 +552,7 @@ def run_scenario(scenario: Scenario, out_dir, threads: int = 1) -> RunResult:
     target.mkdir(parents=True, exist_ok=True)
     _require_ergodic(scenario.model)
     try:
-        results, rows, violations = _PIPELINES[scenario.experiment](scenario)
+        results, blocks, violations = _PIPELINES[scenario.experiment](scenario)
     except InvalidModel as exc:
         # The scenario parsed, but the sampler's next-regime table for this
         # model passes its cap.
@@ -557,7 +570,7 @@ def run_scenario(scenario: Scenario, out_dir, threads: int = 1) -> RunResult:
     csv_path = target / "tables.csv"
     manifest_path = target / "manifest.json"
     _atomic_write_text(report_path, json.dumps(report, sort_keys=True, indent=2) + "\n")
-    _atomic_write_text(csv_path, _csv_text(rows))
+    _atomic_write_text(csv_path, _csv_text(blocks))
     manifest = {
         "scenario_hash": scenario.content_hash(),
         "tool_version": __version__,

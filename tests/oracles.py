@@ -23,6 +23,7 @@ from regimeclt.process import (
     _ndtr,
     iter_path_chunks,
     mixture_abs_third_moment,
+    mixture_cdf,
     mixture_mean,
     mixture_variance,
 )
@@ -328,6 +329,21 @@ def cf_gap_from_samples_cexp(samples, t_grid, n_batches: int = 20) -> tuple[np.n
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
+
+
+def mixture_quantile_halvings(model: ModelSpec, q, halvings: int = 100) -> np.ndarray:
+    """Stationary-mixture quantiles by a fixed number of bracket halvings,
+    with no early stop."""
+    levels = np.asarray(q, dtype=np.float64)
+    lows, highs = zip(*(c.effective_support() for c in model.emissions.components))
+    lo = np.full(levels.shape, min(lows) - 1.0)
+    hi = np.full(levels.shape, max(highs) + 1.0)
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        below = mixture_cdf(model, mid) < levels
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def abs_third_moment_quad(pdf, lo: float, hi: float, center: float) -> float:

@@ -41,6 +41,7 @@ from regimeclt.process import (
     sample_path,
 )
 from regimeclt.seeds import REPLICATE_BLOCK, SeedSpec
+from tests_support import random_chain_pool
 
 
 class TestEmissions:
@@ -854,6 +855,31 @@ class TestMixtureSummaries:
         np.testing.assert_allclose(mixture_cdf(model, xs), levels, rtol=0.0, atol=1e-12)
         with pytest.raises(ValueError):
             mixture_quantile(model, [0.5, 1.0])
+
+    def test_quantile_stop_keeps_the_capped_bits(self, monkeypatch):
+        # The loop stops once a halving moves no bracket end; the bits are
+        # those of all _QUANTILE_HALVINGS halvings.
+        rng = np.random.default_rng(2029)
+        levels = np.concatenate([[1e-12, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-12], rng.uniform(0.0, 1.0, 20)])
+        makers = (lambda: Gaussian(rng.uniform(-5.0, 5.0), rng.uniform(0.05, 4.0)),
+                  lambda: Uniform(*np.sort(rng.uniform(-5.0, 5.0, 2))),
+                  lambda: ShiftedExponential(rng.uniform(0.1, 5.0), rng.uniform(-5.0, 5.0)))
+        halvings = []
+        original_cdf = process.mixture_cdf
+
+        def counting_cdf(*args):
+            halvings[-1] += 1
+            return original_cdf(*args)
+
+        monkeypatch.setattr(process, "mixture_cdf", counting_cdf)
+        for rows in random_chain_pool(50, seed=2029, n_min=2, n_max=4):
+            comps = tuple(makers[k]() for k in rng.integers(0, 3, rows.shape[0]).tolist())
+            model = ModelSpec(TransitionMatrix(rows), EmissionSpec(comps))
+            halvings.append(0)
+            got = mixture_quantile(model, levels)
+            want = oracles.mixture_quantile_halvings(model, levels, process._QUANTILE_HALVINGS)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert max(halvings) < process._QUANTILE_HALVINGS
 
     def test_import_leaves_out_scipy(self):
         code = "import sys, regimeclt; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

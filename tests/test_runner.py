@@ -74,6 +74,13 @@ def csv_writer_text(header, lines) -> str:
     return buf.getvalue()
 
 
+def table_rows(blocks) -> list:
+    """The (section, label, value, std_error, bound) rows of a pipeline's blocks."""
+    return [(section, label, value, se, bound)
+            for section, labels, values, se, bound in blocks
+            for label, value in zip(labels, values, strict=True)]
+
+
 def reference_tables_csv(rows) -> str:
     """tables.csv as csv.writer writes it, numbers as repr(float(v))."""
     def number(v):
@@ -544,7 +551,8 @@ class TestRunScenario:
         report = json.loads((a / "report.json").read_text())
         assert report["status"] == 2 and report["violations"][0] == first
         # The violations are the rows over their bounds, in row order.
-        _results, rows, violations = _experiment_independence(load_scenario(path))
+        _results, blocks, violations = _experiment_independence(load_scenario(path))
+        rows = table_rows(blocks)
         assert violations == report["violations"] == [
             f"{section}[{label}]: value {value!r} exceeds bound {bound!r}"
             for section, label, value, _se, bound in rows
@@ -579,8 +587,11 @@ class TestCsvText:
             ("sec", "repeat", 0.25, None, 0.25),
             ("sec", "repeat", -0.0, float("nan"), 0.0),
         ]
-        text = _csv_text(rows)
-        assert text == reference_tables_csv(rows)
+        # One block per row, and one block of several rows before the last.
+        blocks = [(section, [label], [value], se, bound) for section, label, value, se, bound in rows]
+        blocks.insert(-1, ("a,b", ["z", "n,z", "z", "big", "x"], [0.0, -0.0, -0.0, 1e308, nan], -0.0, 0.0))
+        text = _csv_text(blocks)
+        assert text == reference_tables_csv(table_rows(blocks))
         # A signed zero keeps its sign whichever zero the column saw first.
         parsed = list(csv.reader(io.StringIO(text)))[1:]
         assert [line[2:] for line in parsed[1:4]] == [
@@ -592,15 +603,20 @@ class TestCsvText:
         assert _csv_field("a\rb") == "a\rb"
         assert _csv_field("a,b") == '"a,b"' and _csv_field('a"b') == '"a""b"'
 
-    def test_matches_csv_writer_on_exact_gaps_sized_table(self, monkeypatch):
+    @pytest.fixture
+    def exact_gaps(self, monkeypatch) -> Scenario:
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
         import workloads
 
-        s = Scenario.from_json_dict(workloads.exact_gaps(workloads.DEFAULT_SEEDS["exact-gaps"]))
-        _results, rows, violations = _experiment_independence(s)
+        return Scenario.from_json_dict(workloads.exact_gaps(workloads.DEFAULT_SEEDS["exact-gaps"]))
+
+    def test_matches_csv_writer_on_exact_gaps_sized_table(self, exact_gaps):
+        s = exact_gaps
+        _results, blocks, violations = _experiment_independence(s)
+        rows = table_rows(blocks)
         assert len(rows) == 10 * 23 * 30 + 30 + 1 and violations == []
         assert len({row[4] for row in rows}) == 10 + 1
-        assert _csv_text(rows) == reference_tables_csv(rows)
+        assert _csv_text(blocks) == reference_tables_csv(rows)
         # The conditional rows, cell by cell: targets outer, conditioning events inner.
         family = default_event_family(s.model, quantile_levels=s.params["quantile_levels"])
         weights = np.stack([ev.weights(s.model) for ev in family])
@@ -614,6 +630,37 @@ class TestCsvText:
                     expected.append((f"tau={tau} target={family[t].describe()} "
                                      f"given={family[c].describe()}", float(gaps[ci, ti])))
         assert [(label, value) for _s, label, value, _se, _b in rows[:len(expected)]] == expected
+
+    def test_formats_each_distinct_number_once(self, exact_gaps, monkeypatch):
+        # One repr per distinct value and sign over exact-gaps' table, not one per row.
+        _results, blocks, _violations = _experiment_independence(exact_gaps)
+        numbers = [v for row in table_rows(blocks) for v in row[2:] if v is not None]
+        distinct = {(v, math.copysign(1.0, v)) for v in numbers}
+        assert sum(v == 0.0 for v in numbers) > 2000 and len(distinct) < len(numbers) / 4
+        calls = []
+
+        def counting_repr(obj):
+            calls.append(obj)
+            return repr(obj)
+
+        monkeypatch.setattr(runner, "repr", counting_repr, raising=False)
+        _csv_text(blocks)
+        assert len(calls) == len(distinct)
+
+    def test_block_violations_follow_the_row_rule(self):
+        nan, inf = float("nan"), float("inf")
+        values = [0.5, nan, inf, 0.2, -inf, 0.3 + 0.5e-12, 0.3 + 2e-12, nan, 2.0, -nan]
+        labels = [f"r{i}" for i in range(len(values))]
+        blocks, violations = [], []
+        runner._check_all(blocks, violations, "sec", labels, values, None, 0.3)
+        runner._check_all(blocks, violations, "free", labels, values, None, None)
+        runner._check(blocks, violations, "one", "x,y", inf, 0.1, 1.0)
+        assert violations == [
+            f"{section}[{label}]: value {value!r} exceeds bound {bound!r}"
+            for section, label, value, _se, bound in table_rows(blocks)
+            if bound is not None and value > bound + BOUND_SLACK
+        ]
+        assert [v.split(":")[0] for v in violations] == ["sec[r0]", "sec[r2]", "sec[r6]", "sec[r8]", "one[x,y]"]
 
 
 class TestDeterminism:
